@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+_ROOT = Path(__file__).resolve().parents[2]
+for path in (str(_ROOT / "src"), str(_ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
