@@ -62,13 +62,14 @@ def test_ablation_spike_filter(benchmark, um3_campaign, report):
     """Disable the min-filter: the v_dist threshold inflates."""
 
     def evaluate():
-        from repro.core import NsyncIds, OneClassTrainer
+        from repro.core import Comparator, NsyncIds, OneClassTrainer
         from repro.core.discriminator import detection_features
 
         reference = transform_signal(
             um3_campaign.reference.signals["ACC"], "ACC", "Raw"
         )
         ids = NsyncIds(reference, DwmSynchronizer(um3_campaign.setup.dwm_params))
+        comparator = Comparator()
 
         thresholds = {}
         for window in (1, 3):
@@ -76,7 +77,7 @@ def test_ablation_spike_filter(benchmark, um3_campaign, report):
             for run in um3_campaign.training:
                 observed = transform_signal(run.signals["ACC"], "ACC", "Raw")
                 sync = ids.synchronizer.synchronize(observed, reference)
-                v = ids.comparator.vertical_distances(observed, reference, sync)
+                v = comparator.vertical_distances(observed, reference, sync)
                 trainer.add_run(detection_features(sync, v, filter_window=window))
             thresholds[window] = trainer.thresholds()
         return thresholds

@@ -23,12 +23,12 @@ Run with::
 from __future__ import annotations
 
 import asyncio
-import os
 
-from conftest import RESULTS_DIR, record_bench_stats
+from conftest import RESULTS_DIR
 
+from repro.io import append_bench_record
 from repro.obs import telemetry
-from repro.serve.loadgen import run_loadgen, synth_streams
+from repro.serve.loadgen import bench_record, run_loadgen, synth_streams
 from repro.serve.model import demo_model
 from repro.serve.server import FleetServer
 
@@ -75,31 +75,18 @@ def test_serve_ingest_64_streams(tmp_path, report):
     assert result.total_samples == N_STREAMS * N_SAMPLES
     assert result.samples_per_s > 0
 
-    cores_used = SHARDS + 1
-    streams_per_core = result.samples_per_s / SAMPLE_RATE / cores_used
-    record = {
-        "n_streams": result.n_streams,
-        "chunk_samples": CHUNK_SAMPLES,
-        "pace": 0.0,
-        "shards": SHARDS,
-        "cores_used": cores_used,
-        "cpu_count": os.cpu_count(),
-        "total_samples": result.total_samples,
-        "total_chunks": result.total_chunks,
-        "elapsed_s": round(result.elapsed_s, 4),
-        "ingest_p50_ms": round(result.ingest_p50_ms, 4),
-        "ingest_p99_ms": round(result.ingest_p99_ms, 4),
-        "ingest_mean_ms": round(result.ingest_mean_ms, 4),
-        "serve_samples_per_s": round(result.samples_per_s, 1),
-        "streams_per_core": round(streams_per_core, 3),
-        "resumes": result.resumes,
-        "verified": True,
-        "mismatches": len(result.mismatches),
-    }
-    record_bench_stats(SERVE_STATS_PATH, "serve_loadgen", record)
+    record = bench_record(
+        result,
+        chunk_samples=CHUNK_SAMPLES,
+        pace=0.0,
+        shards=SHARDS,
+        sample_rate=SAMPLE_RATE,
+        verified=True,
+    )
+    append_bench_record(SERVE_STATS_PATH, record)
     report(
         "serve_ingest",
         result.summary()
-        + f"\nstreams_per_core   {streams_per_core:10.1f} "
-        f"(cores_used={cores_used})",
+        + f"\nstreams_per_core   {record['streams_per_core']:10.1f} "
+        f"(cores_used={record['cores_used']})",
     )

@@ -20,7 +20,6 @@ trajectory across PRs.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -29,6 +28,7 @@ import pytest
 
 from repro import obs
 from repro.eval import Campaign, CampaignEngine, default_setup, generate_campaign
+from repro.io import append_bench_record
 
 RESULTS_DIR = Path(__file__).parent / "results"
 CAMPAIGN_STATS_PATH = RESULTS_DIR / "BENCH_campaign.json"
@@ -59,17 +59,10 @@ def record_bench_stats(path: Path, name: str, record: dict) -> None:
     Every history file shares the record shape the regression gate
     (``scripts/check_bench_regression.py``) expects: a JSON list of dicts,
     each with a ``name``, a wall-clock ``time`` stamp, and free-form
-    numeric fields.  A corrupt or missing file restarts the history.
+    numeric fields.  A history that does not parse is refused, not reset
+    (see :func:`repro.io.append_bench_record`).
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text())
-        except (ValueError, OSError):
-            history = []
-    history.append({"name": name, "time": time.time(), **record})
-    path.write_text(json.dumps(history, indent=2) + "\n")
+    append_bench_record(path, {"name": name, "time": time.time(), **record})
 
 
 def record_campaign_stats(name: str, record: dict) -> None:

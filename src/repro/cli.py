@@ -466,18 +466,14 @@ def _peak_rss_mb() -> float:
 
 
 def _append_bench_record(path: str, record: Dict[str, object]) -> None:
-    """Append one record to a BENCH_*.json append-only history list."""
-    import json
+    """Append one record to a BENCH_*.json history; a one-line error
+    (file untouched) when the history does not parse."""
+    from .io import append_bench_record
 
-    out = Path(path)
-    history = []
-    if out.exists():
-        history = json.loads(out.read_text())
-        if not isinstance(history, list):
-            raise SystemExit(f"repro: {out} is not a JSON list history")
-    history.append(record)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(history, indent=2) + "\n")
+    try:
+        append_bench_record(path, record)
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}")
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -835,9 +831,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import json
-    import time as _time
 
-    from .serve.loadgen import run_loadgen, synth_streams
+    from .serve.loadgen import bench_record, run_loadgen, synth_streams
     from .serve.model import ServeModel
     from .serve.protocol import read_address
 
@@ -865,55 +860,25 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             verify_model=verify_model,
         )
     )
-    # Streams/core: how many real-time printers this deployment could
-    # keep up with per core it burns (listener + shard workers).
-    cores_used = args.server_shards + 1 if args.server_shards > 0 else 1
-    streams_per_core = (
-        result.samples_per_s / args.sample_rate / cores_used
-        if args.sample_rate > 0
-        else 0.0
+    record = bench_record(
+        result,
+        chunk_samples=args.chunk_samples,
+        pace=args.pace,
+        shards=args.server_shards,
+        sample_rate=args.sample_rate,
+        verified=verify_model is not None,
     )
-    record = {
-        "name": "serve_loadgen",
-        "time": _time.time(),
-        "n_streams": result.n_streams,
-        "chunk_samples": args.chunk_samples,
-        "pace": args.pace,
-        "shards": args.server_shards,
-        "cores_used": cores_used,
-        "cpu_count": os.cpu_count(),
-        "total_samples": result.total_samples,
-        "total_chunks": result.total_chunks,
-        "elapsed_s": round(result.elapsed_s, 4),
-        "ingest_p50_ms": round(result.ingest_p50_ms, 4),
-        "ingest_p99_ms": round(result.ingest_p99_ms, 4),
-        "ingest_mean_ms": round(result.ingest_mean_ms, 4),
-        "serve_samples_per_s": round(result.samples_per_s, 1),
-        "streams_per_core": round(streams_per_core, 3),
-        "resumes": result.resumes,
-        "verified": verify_model is not None,
-        "mismatches": len(result.mismatches),
-    }
     if args.json:
         print(json.dumps(record, indent=2))
     else:
         print(result.summary())
         print(
-            f"streams_per_core   {streams_per_core:10.1f} "
-            f"(cores_used={cores_used})"
+            f"streams_per_core   {record['streams_per_core']:10.1f} "
+            f"(cores_used={record['cores_used']})"
         )
     if args.bench_out:
-        path = Path(args.bench_out)
-        history = []
-        if path.exists():
-            try:
-                history = json.loads(path.read_text())
-            except ValueError:
-                history = []
-        history.append(record)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(history, indent=2) + "\n")
-        print(f"bench record appended to {path}", file=sys.stderr)
+        _append_bench_record(args.bench_out, record)
+        print(f"bench record appended to {args.bench_out}", file=sys.stderr)
     if result.mismatches:
         shown = ", ".join(result.mismatches[:8])
         print(f"VERDICT MISMATCHES ({len(result.mismatches)}): {shown}",

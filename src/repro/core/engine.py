@@ -1,4 +1,4 @@
-"""The unified NSYNC detection core: one incremental engine, two facades.
+"""The unified NSYNC detection core: one incremental engine.
 
 The paper's IDS (Section VII, Fig. 7) is a single algorithm; this module is
 its single implementation.  :class:`DetectionEngine` consumes the observed
@@ -25,9 +25,10 @@ chunk::
 end-of-run checks (duration, non-finite fraction), and assembles the
 :class:`EngineResult`.  The batch :class:`~repro.core.pipeline.NsyncIds`
 is "push the whole signal as one chunk, then finalize"; the streaming
-:class:`~repro.core.streaming.StreamingNsyncIds` is "push chunks as the
-DAQ delivers them" — batch/streaming parity is structural, not
-test-enforced, because there is only one code path.
+:class:`~repro.core.streaming.StreamingNsyncIds` is this engine itself,
+armed with DWM, fed chunks as the DAQ delivers them — batch/streaming
+parity is structural, not test-enforced, because there is only one code
+path.
 
 All cross-chunk carry lives in :class:`DetectorState` (schema-versioned,
 JSON-safe via ``to_dict``/``from_dict``), which is what makes
@@ -38,7 +39,7 @@ to an uninterrupted one.
 This module is also the only emitter of the detection provenance events
 (``window_evidence``, ``window_quarantined``, ``window_truncated``,
 ``alarm``, ``sensor_fault``, ``run_summary``) — exactly one emission site
-per type, shared by both facades.
+per type, shared by every caller.
 """
 
 from __future__ import annotations
@@ -323,6 +324,11 @@ class EngineResult:
     #: ``None`` when the engine ran un-thresholded (analyze/fit mode).
     detection: Optional[Detection]
     alerts: Tuple[Alert, ...]
+
+    @property
+    def duration_mismatch(self) -> float:
+        """Window-count deviation of the observed process vs the reference."""
+        return self.features.duration_mismatch
 
 
 def _finite(value: float) -> Optional[float]:

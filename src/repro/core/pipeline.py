@@ -3,9 +3,9 @@
 All detection math lives in :class:`repro.core.engine.DetectionEngine`;
 :class:`NsyncIds` is the batch calling convention over it: feed the whole
 observed signal as one chunk, finalize, return the result.  The streaming
-facade (:class:`repro.core.streaming.StreamingNsyncIds`) drives the same
-engine chunk by chunk, so batch/streaming parity is structural — there is
-only one implementation to agree with itself.
+detector (:class:`repro.core.streaming.StreamingNsyncIds`) is the same
+engine fed chunk by chunk, so batch/streaming parity is structural — there
+is only one implementation to agree with itself.
 
 Typical usage::
 
@@ -18,41 +18,22 @@ Typical usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
-
-import numpy as np
+from typing import Iterable, Optional, Union
 
 from .. import obs
 from ..signals.signal import Signal
-from ..sync.base import SyncResult, Synchronizer
-from .comparator import Comparator, DistanceFn
-from .discriminator import Detection, DetectionFeatures, Thresholds
-from .engine import DetectionEngine, EngineResult, _finite  # noqa: F401  (re-export)
-from .health import ChannelHealth, SanitizePolicy
+from ..sync.base import Synchronizer
+from .comparator import DistanceFn
+from .discriminator import Detection, Thresholds
+from .engine import DetectionEngine, EngineResult
+from .health import SanitizePolicy
 from .occ import OneClassTrainer
 
 __all__ = ["AnalysisResult", "NsyncIds"]
 
-
-@dataclass(frozen=True)
-class AnalysisResult:
-    """Everything NSYNC derives from one observed signal."""
-
-    sync: SyncResult
-    v_dist: np.ndarray
-    features: DetectionFeatures
-    #: Channel-health verdict from the input-sanitization stage.
-    health: Optional[ChannelHealth] = None
-    #: Indexes of analysis windows whose input samples had to be repaired
-    #: (NaN/inf); their evidence comes from sanitized data and is flagged
-    #: via ``window_quarantined`` events.
-    quarantined_windows: Tuple[int, ...] = ()
-
-    @property
-    def duration_mismatch(self) -> float:
-        """Window-count deviation of the observed process vs the reference."""
-        return self.features.duration_mismatch
+#: What :meth:`NsyncIds.analyze` returns: the finalized, un-thresholded
+#: :class:`~repro.core.engine.EngineResult` (``detection`` is ``None``).
+AnalysisResult = EngineResult
 
 
 class NsyncIds:
@@ -89,7 +70,6 @@ class NsyncIds:
     ) -> None:
         self.reference = reference
         self.synchronizer = synchronizer
-        self.comparator = Comparator(metric)
         self.filter_window = filter_window
         self.policy = policy if policy is not None else SanitizePolicy()
         self.thresholds: Optional[Thresholds] = None
@@ -130,7 +110,7 @@ class NsyncIds:
             eng.push(observed.data)
             return eng.finalize()
 
-    def analyze(self, observed: Signal) -> AnalysisResult:
+    def analyze(self, observed: Signal) -> EngineResult:
         """Sanitize, synchronize, compare, and featurize one signal.
 
         Degenerate input (NaN/inf samples) is repaired before any
@@ -138,14 +118,7 @@ class NsyncIds:
         finite; the affected windows are flagged as quarantined and the
         channel-health verdict rides along on the result.
         """
-        result = self._run(observed, armed=False)
-        return AnalysisResult(
-            sync=result.sync,
-            v_dist=result.v_dist,
-            features=result.features,
-            health=result.health,
-            quarantined_windows=result.quarantined_windows,
-        )
+        return self._run(observed, armed=False)
 
     def fit(self, benign_signals: Iterable[Signal], r: float = 0.3) -> Thresholds:
         """Learn the discriminator thresholds from benign runs (Eq. 23-28).
@@ -157,7 +130,7 @@ class NsyncIds:
         trainer = OneClassTrainer(r=r)
         for k, signal in enumerate(benign_signals):
             analysis = self.analyze(signal)
-            if analysis.health is not None and analysis.health.sensor_fault:
+            if analysis.health.sensor_fault:
                 raise ValueError(
                     f"training run {k} failed input sanitization "
                     f"({', '.join(analysis.health.reasons)}); refusing to "

@@ -2,19 +2,17 @@
 
 The batch :class:`~repro.core.pipeline.NsyncIds` analyzes a finished
 recording; :class:`StreamingNsyncIds` consumes the observed signal in
-chunks as the data-acquisition system delivers it.  Both are facades over
-the same :class:`~repro.core.engine.DetectionEngine`, which runs streaming
-DWM and evaluates all three discriminator sub-modules incrementally,
-raising an :class:`~repro.core.engine.Alert` at the first window whose
-evidence crosses a threshold — the point at which a deployment would stop
-the printer.
+chunks as the data-acquisition system delivers it.  It *is* a
+:class:`~repro.core.engine.DetectionEngine` — armed, with streaming DWM as
+the synchronizer — which evaluates all three discriminator sub-modules
+incrementally, raising an :class:`~repro.core.engine.Alert` at the first
+window whose evidence crosses a threshold — the point at which a
+deployment would stop the printer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from ..signals.signal import Signal
 from ..sync.dwm import DwmParams, DwmSynchronizer
@@ -23,8 +21,6 @@ from .discriminator import Thresholds
 from .engine import (  # noqa: F401  (Alert/TRUNCATED_WINDOW_DISTANCE re-export)
     Alert,
     DetectionEngine,
-    DetectorState,
-    EngineResult,
     TRUNCATED_WINDOW_DISTANCE,
 )
 from .health import SanitizePolicy
@@ -32,14 +28,14 @@ from .health import SanitizePolicy
 __all__ = ["Alert", "StreamingNsyncIds", "TRUNCATED_WINDOW_DISTANCE"]
 
 
-class StreamingNsyncIds:
+class StreamingNsyncIds(DetectionEngine):
     """Chunk-by-chunk NSYNC with DWM as the synchronizer.
 
     Parameters mirror :class:`~repro.core.pipeline.NsyncIds`, except the
-    thresholds must already be known (learn them offline with the batch
-    pipeline, then deploy here).  This class is a thin push-API wrapper
-    around one armed :class:`~repro.core.engine.DetectionEngine`; the
-    engine itself is exposed as :attr:`engine` for checkpoint/resume.
+    synchronizer is built from DWM ``params`` and the thresholds must
+    already be known (learn them offline with the batch pipeline, then
+    deploy here).  Everything else — ``push``, ``finalize``, ``alerts``,
+    ``evidence``, ``state``/``restore`` — is the engine's own surface.
     """
 
     def __init__(
@@ -51,85 +47,21 @@ class StreamingNsyncIds:
         filter_window: int = 3,
         policy: Optional[SanitizePolicy] = None,
     ) -> None:
-        self.reference = reference
-        self.thresholds = thresholds
-        self.filter_window = filter_window
-        self.policy = policy if policy is not None else SanitizePolicy()
-        self.engine = DetectionEngine(
+        super().__init__(
             reference,
             DwmSynchronizer(params),
             thresholds=thresholds,
             metric=metric,
             filter_window=filter_window,
-            policy=self.policy,
+            policy=policy,
         )
 
-    # ------------------------------------------------------------------
     @property
-    def alerts(self) -> List[Alert]:
-        """All alerts raised so far (chronological)."""
-        return self.engine.alerts
-
-    @property
-    def intrusion_detected(self) -> bool:
-        """True once any sub-module (or the sensor-fault rule) fired."""
-        return self.engine.intrusion_detected
-
-    def push(self, samples: np.ndarray) -> List[Alert]:
-        """Feed observed samples; return alerts raised by this chunk.
-
-        Each chunk passes through the input-sanitization stage first
-        (:mod:`repro.core.health` semantics, with cross-chunk carry):
-        non-finite samples are repaired by holding the last finite value
-        before any detection math sees them, and a channel staying dark
-        past :attr:`SanitizePolicy.max_dark_s` raises a fail-closed
-        :data:`~repro.core.health.SENSOR_FAULT` alert.
-        """
-        return self.engine.push(samples)
-
-    def finalize(self) -> EngineResult:
-        """End of stream: run the end-of-run checks and assemble the
-        final :class:`~repro.core.engine.EngineResult` (with the full
-        :class:`~repro.core.discriminator.Detection` verdict)."""
-        return self.engine.finalize()
-
-    # ------------------------------------------------------------------
-    def evidence(self) -> Dict[str, object]:
-        """Snapshot of the evidence arrays accumulated so far.
-
-        Returns a dict with one entry per completed window, matching the
-        batch pipeline window-for-window (structurally — both facades run
-        the same engine):
-
-        - ``h_disp`` — raw horizontal displacements from streaming DWM,
-          equal to ``SyncResult.h_disp``.
-        - ``c_disp`` — final CADHD scalar (kept for backwards
-          compatibility; equals ``c_disp_curve[-1]``).
-        - ``c_disp_curve`` — cumulative CADHD per window, equal to
-          ``SyncResult.cadhd()``.
-        - ``h_dist_filtered`` / ``v_dist_filtered`` — trailing-min
-          filtered distances, equal to the batch
-          :class:`~repro.core.discriminator.DetectionFeatures` arrays.
-        """
-        return self.engine.evidence()
+    def engine(self) -> DetectionEngine:
+        """This detector itself — it *is* the engine — for ``.engine``
+        call sites such as checkpoint/resume code."""
+        return self
 
     def health(self) -> Dict[str, object]:
-        """Channel-health snapshot from the input-sanitization stage.
-
-        JSON-safe, mirroring the batch pipeline's ``Detection.health``
-        payload: sample/repair counts, dark spans and the longest dark run
-        seen so far, the fail-closed ``sensor_fault`` verdict with its
-        reasons, and the indices of windows whose evidence was computed
-        from repaired samples.
-        """
-        return self.engine.health_dict()
-
-    # ------------------------------------------------------------------
-    def state(self) -> DetectorState:
-        """Serializable mid-stream checkpoint (see
-        :meth:`repro.core.engine.DetectionEngine.state`)."""
-        return self.engine.state()
-
-    def restore(self, state: DetectorState) -> None:
-        """Load a :meth:`state` checkpoint into this (fresh) detector."""
-        self.engine.restore(state)
+        """Channel-health snapshot; alias of :meth:`health_dict`."""
+        return self.health_dict()

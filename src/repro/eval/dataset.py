@@ -10,7 +10,7 @@ attack — every run with fresh time noise and fresh sensor noise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Dict,
     Iterable,
@@ -80,12 +80,14 @@ class ProcessRun:
 class CampaignPlan:
     """Everything needed to (re-)execute a campaign's runs on demand.
 
-    The lazy backing of :class:`Campaign`: the ordered request list plus
-    the engine/DAQ to execute it through.  With a warm
+    The backing of :class:`Campaign`: the ordered request list plus the
+    engine/DAQ to execute it through.  With a warm
     :class:`~repro.cache.RunCache` behind the engine, "executing" a run is
-    a metadata read + memmap open, so a plan-backed campaign can be swept
-    over many times (one pass per evaluation cell) without ever holding
-    more than one run's working set in memory.
+    a metadata read + memmap open, so a plan can be swept over many times
+    (one pass per evaluation cell) without ever holding more than one
+    run's working set in memory.  :meth:`Campaign.materialize` resolves
+    every run once and stores them in :attr:`runs`; from then on the plan
+    serves runs from memory and holds no engine.
     """
 
     setup: PrinterSetup
@@ -95,28 +97,34 @@ class CampaignPlan:
     n_benign_test: int
     n_attack_runs: int
     channels: Optional[Tuple[str, ...]]
-    engine: object  # CampaignEngine (kept loose: engine imports dataset)
+    #: CampaignEngine (kept loose: engine imports dataset); ``None`` once
+    #: materialized, so the engine's worker pool is not kept alive.
+    engine: object
     daq: DataAcquisition
+    #: Every run in request order, once resolved by ``materialize()``.
+    runs: Optional[Tuple[ProcessRun, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _runs(
+        self, start: int = 0, stop: Optional[int] = None
+    ) -> Iterator[ProcessRun]:
+        """Runs ``start:stop`` in request order: the resolved ones when
+        present, else streamed through the engine."""
+        if self.runs is not None:
+            return iter(self.runs[start:stop])
+        stream = self.engine.iter_execute(
+            self.requests[start:stop], daq=self.daq, channels=self.channels
+        )
+        return (run for _request, run in stream)
 
     def run_at(self, index: int) -> ProcessRun:
-        """Execute (typically: load from cache) one run by stream index."""
-        pair = next(
-            iter(
-                self.engine.iter_execute(
-                    [self.requests[index]],
-                    daq=self.daq,
-                    channels=self.channels,
-                )
-            )
-        )
-        return pair[1]
+        """One run by stream index (typically: loaded from cache)."""
+        return next(self._runs(index, index + 1))
 
     def iter_runs(self) -> Iterator[Tuple[str, ProcessRun]]:
         """Stream every run, in order, tagged with its campaign role."""
-        stream = self.engine.iter_execute(
-            self.requests, daq=self.daq, channels=self.channels
-        )
-        for index, (_request, run) in enumerate(stream):
+        for index, run in enumerate(self._runs()):
             yield self.role_of(index), run
 
     def role_of(self, index: int) -> str:
@@ -133,9 +141,9 @@ class CampaignPlan:
 class _RunView(Sequence):
     """A read-only run sequence backed by a :class:`CampaignPlan` slice.
 
-    Indexing executes exactly the requested run through the plan's engine
-    (a cache hit on any warmed campaign); nothing is retained between
-    accesses, so iterating a view never accumulates run payloads.
+    Indexing resolves exactly the requested run through the plan (a cache
+    hit on any warmed campaign); nothing is retained between accesses, so
+    iterating a view never accumulates run payloads.
     """
 
     __slots__ = ("_plan", "_start", "_count")
@@ -164,80 +172,53 @@ class _RunView(Sequence):
 class Campaign:
     """The full dataset for one printer: Table I at configurable scale.
 
-    Two backings share this one interface:
-
-    * **Eager** — constructed with materialized runs (the historical
-      shape): ``Campaign(setup, reference=..., training=...,
-      benign_test=..., malicious_test=...)``.
-    * **Lazy** — constructed from a :class:`CampaignPlan`
-      (``Campaign(setup, plan=plan)``, via
-      ``generate_campaign(..., materialize=False)``): ``training`` /
-      ``benign_test`` / ``malicious_test`` become on-demand views that
-      execute runs through the plan's engine as they are indexed, and
-      :meth:`iter_runs` streams the whole campaign through
-      :meth:`~repro.eval.engine.CampaignEngine.iter_execute` without ever
-      materializing it.
-
-    Existing call sites (``campaign.benign_test[0]``,
-    ``for run in campaign.training``, ``campaign.all_malicious()``) work
-    identically on both.
+    A view over one :class:`CampaignPlan`: ``training`` / ``benign_test``
+    / ``malicious_test`` are sequences that resolve runs through the plan
+    as they are indexed, and :meth:`iter_runs` streams the whole campaign
+    in one :meth:`~repro.eval.engine.CampaignEngine.iter_execute` pass
+    without ever materializing it.  :meth:`materialize` executes every
+    run up front instead, for callers that sweep a campaign many times
+    without a run cache.
     """
 
-    def __init__(
-        self,
-        setup: PrinterSetup,
-        reference: Optional[ProcessRun] = None,
-        training: Sequence[ProcessRun] = (),
-        benign_test: Sequence[ProcessRun] = (),
-        malicious_test: Optional[Dict[str, Tuple[ProcessRun, ...]]] = None,
-        *,
-        plan: Optional[CampaignPlan] = None,
-    ) -> None:
+    def __init__(self, setup: PrinterSetup, plan: CampaignPlan) -> None:
         self.setup = setup
         self.plan = plan
-        self._reference = reference
-        if plan is None:
-            if reference is None:
-                raise TypeError(
-                    "an eager Campaign needs a reference run "
-                    "(or pass plan=... for a lazy campaign)"
-                )
-            self._training: Sequence[ProcessRun] = tuple(training)
-            self._benign_test: Sequence[ProcessRun] = tuple(benign_test)
-            self._malicious_test: Dict[str, Sequence[ProcessRun]] = dict(
-                malicious_test or {}
+        self._reference: Optional[ProcessRun] = None
+        n_train, n_test = plan.n_train, plan.n_benign_test
+        self.training: Sequence[ProcessRun] = _RunView(plan, 1, n_train)
+        self.benign_test: Sequence[ProcessRun] = _RunView(
+            plan, 1 + n_train, n_test
+        )
+        self.malicious_test: Dict[str, Sequence[ProcessRun]] = {}
+        cursor = 1 + n_train + n_test
+        for name in plan.attack_names:
+            self.malicious_test[name] = _RunView(
+                plan, cursor, plan.n_attack_runs
             )
-        else:
-            n_train, n_test = plan.n_train, plan.n_benign_test
-            self._training = _RunView(plan, 1, n_train)
-            self._benign_test = _RunView(plan, 1 + n_train, n_test)
-            cursor = 1 + n_train + n_test
-            views: Dict[str, Sequence[ProcessRun]] = {}
-            for name in plan.attack_names:
-                views[name] = _RunView(plan, cursor, plan.n_attack_runs)
-                cursor += plan.n_attack_runs
-            self._malicious_test = views
+            cursor += plan.n_attack_runs
 
-    # -- the historical attribute surface ----------------------------------
+    def materialize(self) -> "Campaign":
+        """This campaign with every run executed now, in one engine batch.
+
+        The returned campaign's plan holds the resolved runs (and no
+        engine), so indexing and streaming it never execute anything.
+        """
+        plan = self.plan
+        runs = plan.engine.execute(
+            plan.requests, daq=plan.daq, channels=plan.channels
+        )
+        return Campaign(
+            self.setup, replace(plan, runs=tuple(runs), engine=None)
+        )
+
     @property
     def reference(self) -> ProcessRun:
         if self._reference is None:
-            # Memoized: the reference anchors every evaluation pass, so a
-            # lazy campaign resolves it once (a cache hit when warmed).
+            # Memoized: the reference anchors every evaluation pass, so it
+            # is resolved once (a cache hit when warmed).
             self._reference = self.plan.run_at(0)
         return self._reference
-
-    @property
-    def training(self) -> Sequence[ProcessRun]:
-        return self._training
-
-    @property
-    def benign_test(self) -> Sequence[ProcessRun]:
-        return self._benign_test
-
-    @property
-    def malicious_test(self) -> Dict[str, Sequence[ProcessRun]]:
-        return self._malicious_test
 
     @property
     def channels(self) -> Tuple[str, ...]:
@@ -257,27 +238,16 @@ class Campaign:
             out.extend(runs)
         return out
 
-    # -- streaming ---------------------------------------------------------
     def iter_runs(self) -> Iterator[Tuple[str, ProcessRun]]:
         """Stream ``(role, run)`` over the whole campaign, in order.
 
         Roles are ``"reference"``, ``"training"``, ``"benign"``, and
         ``"malicious"`` — emitted in exactly that order, so a streaming
         consumer can finish training before the first test run arrives.
-        A lazy campaign streams through the engine (each run held only for
-        its own iteration); an eager one yields its stored runs.
+        An unmaterialized campaign streams through the engine (each run
+        held only for its own iteration).
         """
-        if self.plan is not None:
-            yield from self.plan.iter_runs()
-            return
-        yield "reference", self.reference
-        for run in self.training:
-            yield "training", run
-        for run in self.benign_test:
-            yield "benign", run
-        for runs in self.malicious_test.values():
-            for run in runs:
-                yield "malicious", run
+        return self.plan.iter_runs()
 
 
 def default_setup(
@@ -440,12 +410,13 @@ def generate_campaign(
     cache/pool and read back its ``stats``; it overrides
     ``workers``/``cache``.
 
-    ``materialize=False`` returns a *lazy* campaign backed by a
-    :class:`CampaignPlan`: no run is executed up front, and evaluation
-    passes stream runs through the engine one at a time
-    (:meth:`Campaign.iter_runs`).  Attach a cache when the campaign will
-    be swept more than once — each pass re-resolves runs through the
-    engine, which is only cheap when it hits.
+    ``materialize=False`` returns the campaign unexecuted: no run is
+    executed up front, and evaluation passes stream runs through the
+    engine one at a time (:meth:`Campaign.iter_runs`).  Attach a cache
+    when such a campaign will be swept more than once — each pass
+    re-resolves runs through the engine, which is only cheap when it
+    hits.  The default executes every run now
+    (:meth:`Campaign.materialize`).
     """
     from .engine import CampaignEngine
 
@@ -461,34 +432,20 @@ def generate_campaign(
         n_attack_runs=n_attack_runs,
         seed=seed,
     )
-    engine = engine or CampaignEngine(workers=workers, cache=cache)
-    plan = CampaignPlan(
-        setup=setup,
-        requests=requests,
-        attack_names=attack_names,
-        n_train=n_train,
-        n_benign_test=n_benign_test,
-        n_attack_runs=n_attack_runs,
-        channels=tuple(channels) if channels is not None else None,
-        engine=engine,
-        daq=daq,
+    if engine is None:
+        engine = CampaignEngine(workers=workers, cache=cache)
+    campaign = Campaign(
+        setup,
+        CampaignPlan(
+            setup=setup,
+            requests=requests,
+            attack_names=attack_names,
+            n_train=n_train,
+            n_benign_test=n_benign_test,
+            n_attack_runs=n_attack_runs,
+            channels=tuple(channels) if channels is not None else None,
+            engine=engine,
+            daq=daq,
+        ),
     )
-    if not materialize:
-        return Campaign(setup, plan=plan)
-
-    runs = engine.execute(requests, daq=daq, channels=channels)
-    reference = runs[0]
-    training = tuple(runs[1 : 1 + n_train])
-    benign_test = tuple(runs[1 + n_train : 1 + n_train + n_benign_test])
-    malicious: Dict[str, Tuple[ProcessRun, ...]] = {}
-    cursor = 1 + n_train + n_benign_test
-    for name in attack_names:
-        malicious[name] = tuple(runs[cursor : cursor + n_attack_runs])
-        cursor += n_attack_runs
-    return Campaign(
-        setup=setup,
-        reference=reference,
-        training=training,
-        benign_test=benign_test,
-        malicious_test=malicious,
-    )
+    return campaign.materialize() if materialize else campaign

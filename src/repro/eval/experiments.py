@@ -113,48 +113,30 @@ def nsync_results(
     transform: str = RAW,
     synchronizer: Optional[Synchronizer] = None,
     r: float = 0.3,
-    mode: str = "batch",
-    chunk_s: float = 0.25,
 ) -> IdsResult:
     """Evaluate NSYNC with the given synchronizer on one campaign cell.
 
     Default synchronizer: DWM with the campaign printer's Table IV
     parameters (Table VIII); pass ``FastDtwSynchronizer()`` for Table IX.
 
-    ``mode`` selects how the unified detection core is fed: ``"batch"``
-    hands each signal over in one call, ``"streaming"`` pushes ``chunk_s``
-    sized chunks as a live DAQ would.  Both run the same
-    :class:`~repro.core.engine.DetectionEngine`, so the scores are
-    identical — the streaming mode exists to evaluate (and regression-test)
-    the deployment path itself.
-
     The evaluation is a single pass over :meth:`Campaign.iter_runs` folded
     through an :class:`~repro.eval.metrics.IdsAccumulator`: the stream
     yields the reference first and finishes training before the first test
     run, so at no point is more than one run's signal resident.  On a lazy
     (plan-backed) campaign this evaluates arbitrarily large campaigns in
-    O(1) run memory; on an eager campaign the verdicts — confusion counts
-    are commutative sums — are float-for-float what the materialized
-    implementation produced.
+    O(1) run memory; on a materialized campaign the verdicts — confusion
+    counts are commutative sums — are float-for-float the same.
     """
     if synchronizer is None:
         synchronizer = DwmSynchronizer(campaign.setup.dwm_params)
-    if mode not in ("batch", "streaming"):
-        raise ValueError(f"mode must be 'batch' or 'streaming', got {mode!r}")
 
     def signal_of(run: ProcessRun) -> Signal:
         return transform_signal(run.signals[channel], channel, transform)
 
     ids: Optional[NsyncIds] = None
 
-    def features_of(signal: Signal):
-        if mode == "batch":
-            return ids.analyze(signal).features
-        engine = ids.engine(armed=False)
-        hop = max(1, int(round(chunk_s * signal.sample_rate)))
-        for start in range(0, signal.n_samples, hop):
-            engine.push(signal.data[start : start + hop])
-        return engine.finalize().features
+    def features_of(signal: Signal) -> DetectionFeatures:
+        return ids.analyze(signal).features
 
     trainer = OneClassTrainer(r=r)
     thresholds: Optional[Thresholds] = None

@@ -1,4 +1,4 @@
-"""Persistence: save/load signals, thresholds, and DWM parameters.
+"""Persistence: signals, thresholds, DWM parameters, and bench histories.
 
 A deployed IDS records its reference signals once, learns its thresholds
 once, and then reloads both on every print.  Signals go to ``.npz`` (data +
@@ -34,6 +34,7 @@ __all__ = [
     "load_thresholds",
     "save_dwm_params",
     "load_dwm_params",
+    "append_bench_record",
 ]
 
 PathLike = Union[str, Path]
@@ -368,3 +369,30 @@ def load_dwm_params(path: PathLike) -> DwmParams:
         t_sigma=float(payload["t_sigma"]),
         eta=float(payload.get("eta", 0.1)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Benchmark histories
+# ---------------------------------------------------------------------------
+def append_bench_record(path: PathLike, record: Dict[str, object]) -> None:
+    """Append one record to a ``BENCH_*.json`` history (a JSON list).
+
+    A missing file starts a new history.  A file that is not a JSON list
+    is refused with a :class:`ValueError` naming it and left untouched:
+    its first records are the committed baseline the regression gate
+    (``scripts/check_bench_regression.py``) compares against.
+    """
+    path = Path(path)
+    history = []
+    if path.exists():
+        try:
+            history = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValueError(
+                f"{path} is not valid JSON ({exc}); not appending to it"
+            ) from exc
+        if not isinstance(history, list):
+            raise ValueError(f"{path} is not a JSON list; not appending to it")
+    history.append(record)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(history, indent=2) + "\n")

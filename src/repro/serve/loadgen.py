@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,7 @@ __all__ = [
     "LoadgenError",
     "LoadgenResult",
     "StreamSpec",
+    "bench_record",
     "offline_verdict",
     "run_loadgen",
     "synth_streams",
@@ -90,6 +92,54 @@ class LoadgenResult:
         if self.mismatches:
             lines.append(f"VERDICT MISMATCHES {len(self.mismatches)}")
         return "\n".join(lines)
+
+
+def bench_record(
+    result: LoadgenResult,
+    *,
+    chunk_samples: int,
+    pace: float,
+    shards: int,
+    sample_rate: float,
+    verified: bool,
+) -> Dict[str, Any]:
+    """The ``serve_loadgen`` record of a ``BENCH_serve.json`` history.
+
+    ``streams_per_core`` is how many real-time printers the deployment
+    keeps up with per core it burns: samples/s over one stream's rate,
+    divided by the cores in use — the listener plus one per shard worker,
+    but never more than the machine has.  Every stream waits for each
+    ack before sending its next chunk, so the run is closed-loop
+    (``"loop": "closed"``): the ingest latencies include queueing behind
+    the other streams, not just service time.
+    """
+    cores_used = shards + 1 if shards > 0 else 1
+    cores = min(cores_used, os.cpu_count() or cores_used)
+    streams_per_core = (
+        result.samples_per_s / sample_rate / cores if sample_rate > 0 else 0.0
+    )
+    return {
+        "name": "serve_loadgen",
+        "time": time.time(),
+        "loop": "closed",
+        "n_streams": result.n_streams,
+        "chunk_samples": chunk_samples,
+        "pace": pace,
+        "shards": shards,
+        "cores_used": cores_used,
+        "cpu_count": os.cpu_count(),
+        "total_samples": result.total_samples,
+        "total_chunks": result.total_chunks,
+        "elapsed_s": round(result.elapsed_s, 4),
+        "ingest_p50_ms": round(result.ingest_p50_ms, 4),
+        "ingest_p99_ms": round(result.ingest_p99_ms, 4),
+        "ingest_mean_ms": round(result.ingest_mean_ms, 4),
+        "serve_samples_per_s": round(result.samples_per_s, 1),
+        "streams_per_core": round(streams_per_core, 3),
+        "resumes": result.resumes,
+        "verified": verified,
+        "mismatches": len(result.mismatches),
+    }
 
 
 def synth_streams(

@@ -59,21 +59,6 @@ class TestNsyncResults:
         assert result.per_attack_tpr["Speed0.95"] == 1.0
         assert result.per_attack_tpr["Layer0.3"] == 1.0
 
-    def test_streaming_mode_scores_identically(self, mini_campaign):
-        """Both feed modes run the same DetectionEngine — same scores."""
-        batch = nsync_results(mini_campaign, "ACC", "Raw", mode="batch")
-        stream = nsync_results(
-            mini_campaign, "ACC", "Raw", mode="streaming", chunk_s=0.2
-        )
-        assert stream.overall.accuracy == batch.overall.accuracy
-        assert stream.overall.tpr == batch.overall.tpr
-        assert stream.overall.fpr == batch.overall.fpr
-        assert stream.per_attack_tpr == batch.per_attack_tpr
-
-    def test_unknown_mode_rejected(self, mini_campaign):
-        with pytest.raises(ValueError, match="mode"):
-            nsync_results(mini_campaign, "ACC", "Raw", mode="replay")
-
 
 class TestBaselineResults:
     def test_moore_fails_under_time_noise(self, mini_campaign):

@@ -1,4 +1,7 @@
-"""Unit tests for persistence (signals, thresholds, DWM params)."""
+"""Unit tests for persistence (signals, thresholds, DWM params, bench
+histories)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from repro.core import Thresholds
 from repro.io import (
     LazyRunPayload,
+    append_bench_record,
     load_dwm_params,
     load_run_payload,
     load_signal,
@@ -186,3 +190,28 @@ class TestLazyRunPayload:
         sig = lazy.signal("ACC")
         lazy.close()
         assert np.array_equal(sig.data, signals["ACC"].data)
+
+
+class TestBenchHistory:
+    def test_missing_file_starts_history(self, tmp_path):
+        path = tmp_path / "results" / "BENCH_x.json"
+        append_bench_record(path, {"name": "a", "t": 1.0})
+        append_bench_record(path, {"name": "a", "t": 2.0})
+        assert [r["t"] for r in json.loads(path.read_text())] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("text", ['[{"name": "base"', '{"name": "base"}'])
+    def test_unparseable_history_is_refused_untouched(self, tmp_path, text):
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="BENCH_x.json"):
+            append_bench_record(path, {"name": "a"})
+        assert path.read_text() == text
+
+    def test_cli_refuses_with_one_line_error(self, tmp_path):
+        from repro.cli import _append_bench_record
+
+        path = tmp_path / "BENCH_x.json"
+        path.write_text("not json")
+        with pytest.raises(SystemExit, match="repro: .*BENCH_x.json"):
+            _append_bench_record(str(path), {"name": "a"})
+        assert path.read_text() == "not json"
