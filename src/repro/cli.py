@@ -209,6 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     import json
     import math
+    import time
 
     from .core import NsyncIds
     from .io import load_dwm_params, load_signal, load_thresholds
@@ -244,8 +245,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
         stream_id = args.stream_id
         if stream_id is None and telemetry_on:
             stream_id = Path(args.signal).stem
+        # This command owns the stream, so it feeds the stream's health
+        # row from every push result, as the fleet server does.
+        row = (
+            obs.telemetry.register_stream(stream_id, observed.sample_rate)
+            if stream_id is not None
+            else None
+        )
         # Same engine as the batch call, driven chunk by chunk.
-        engine = ids.engine(stream_id=stream_id)
+        engine = ids.engine()
         hop = max(1, int(round(args.chunk_s * observed.sample_rate)))
         # Deadline-based pacing: chunk k is released at start + k/pace
         # chunk-durations on the monotonic clock, so engine processing
@@ -254,10 +262,28 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
         pacer = Pacer(args.chunk_s / args.pace if args.pace > 0 else 0.0)
         for start in range(0, observed.n_samples, hop):
-            engine.push(observed.data[start : start + hop])
+            chunk = observed.data[start : start + hop]
+            t0 = time.perf_counter()
+            alerts = engine.push(chunk)
+            if row is not None:
+                row.observe_chunk(
+                    chunk.shape[0],
+                    time.perf_counter() - t0,
+                    engine.n_indexes,
+                    engine.n_quarantined,
+                    engine.sensor_fault_fired,
+                )
+                for alert in alerts:
+                    row.note_alert(alert.submodule, alert.time_s)
             pacer.wait()
-        verdict = engine.finalize().detection
+        n_pushed = len(engine.alerts)
+        result = engine.finalize()
+        verdict = result.detection
         assert verdict is not None
+        if row is not None:
+            for alert in result.alerts[n_pushed:]:
+                row.note_alert(alert.submodule, alert.time_s)
+            row.mark_finished(intrusion=verdict.is_intrusion)
         if exporter is not None:
             exporter.stop()
             print(

@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from .. import obs
-from ..obs import events, telemetry
+from ..obs import events
 from ..signals.ringbuffer import SampleRing
 from ..signals.signal import Signal
 from ..sync.base import BatchSyncCursor, SyncCursor, SyncResult, Synchronizer
@@ -361,14 +361,6 @@ class DetectionEngine:
         Input-sanitization thresholds
         (:class:`~repro.core.health.SanitizePolicy`); ``None`` uses the
         defaults.
-    stream_id:
-        Optional stream/printer identity.  When set, the engine registers
-        a live :class:`~repro.obs.telemetry.StreamHealth` row in the
-        process-wide telemetry registry (ingest lag, chunk-latency
-        quantiles, alert/quarantine state — what ``repro top`` and the
-        Prometheus endpoint render).  Health rows update only on the
-        instrumented branch of :meth:`push`: with observability disabled
-        the hot path stays telemetry-free.
     """
 
     def __init__(
@@ -379,7 +371,6 @@ class DetectionEngine:
         metric: Union[str, DistanceFn] = "correlation",
         filter_window: int = 3,
         policy: Optional[SanitizePolicy] = None,
-        stream_id: Optional[str] = None,
     ) -> None:
         if filter_window < 1:
             raise ValueError(f"filter_window must be >= 1, got {filter_window}")
@@ -398,14 +389,6 @@ class DetectionEngine:
         self._rate = float(reference.sample_rate)
         self._n_channels = int(n_ch)
         self._min_dark = self.policy.min_dark_samples(self._rate)
-        self.stream_id = stream_id
-        self._health_row: Union[
-            telemetry.StreamHealth, telemetry.NullStreamHealth
-        ] = (
-            telemetry.register_stream(stream_id, self._rate)
-            if stream_id is not None
-            else telemetry.NULL_STREAM_HEALTH
-        )
         # --- progress / buffered tail ---
         # Preallocated tail buffers (amortized O(chunk) appends, logical
         # prefix trims) shared by the sanitize and compare stages; both
@@ -539,15 +522,6 @@ class DetectionEngine:
         if new_alerts:
             obs.counter("repro.core.engine.alerts").inc(len(new_alerts))
         obs.histogram("repro.core.engine.chunk_latency_s").observe(latency_s)
-        self._health_row.observe_chunk(
-            samples.shape[0],
-            latency_s,
-            len(self._c_hist),
-            len(self._quarantined),
-            self._fault_fired,
-        )
-        for alert in new_alerts:
-            self._health_row.note_alert(alert.submodule, alert.time_s)
         return new_alerts
 
     def finalize(self) -> EngineResult:
@@ -558,7 +532,6 @@ class DetectionEngine:
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
         self._finalized = True
-        alerts_before = len(self._alerts)
         with obs.trace("repro.core.engine.finalize"):
             emitted = self._cursor.finalize()
             sync = self._cursor.result()
@@ -589,9 +562,6 @@ class DetectionEngine:
                     detection = self._stage_discriminate_run(
                         features, sync, health
                     )
-        for alert in self._alerts[alerts_before:]:
-            self._health_row.note_alert(alert.submodule, alert.time_s)
-        self._health_row.mark_finished(intrusion=bool(self._alerts))
         return EngineResult(
             sync=sync,
             v_dist=v_dist,

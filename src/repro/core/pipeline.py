@@ -76,17 +76,13 @@ class NsyncIds:
         self._metric = metric
 
     # ------------------------------------------------------------------
-    def engine(
-        self, armed: bool = True, stream_id: Optional[str] = None
-    ) -> DetectionEngine:
+    def engine(self, armed: bool = True) -> DetectionEngine:
         """Open a fresh :class:`~repro.core.engine.DetectionEngine`.
 
         With ``armed=True`` (the default) the engine carries this IDS's
         learned thresholds and raises alerts; this is the handle to use
         for chunked ingestion (the CLI's ``detect --stream`` path) or for
-        checkpoint/resume via ``DetectorState``.  ``stream_id`` registers
-        the engine in the live telemetry registry (see
-        :mod:`repro.obs.telemetry`).
+        checkpoint/resume via ``DetectorState``.
         """
         return DetectionEngine(
             self.reference,
@@ -95,7 +91,6 @@ class NsyncIds:
             metric=self._metric,
             filter_window=self.filter_window,
             policy=self.policy,
-            stream_id=stream_id,
         )
 
     def _run(self, observed: Signal, armed: bool) -> EngineResult:

@@ -27,10 +27,9 @@ Measurement semantics
   probe run measures a build with no observability registry at all, so
   ``t_normal / t_probe - 1`` is the overhead the disabled obs layer adds
   to ``push()``; the touch count asserts structurally that the disabled
-  hot path never enters a span or resolves a counter.  The same probe
-  also swaps the ``telemetry`` module seen by the engine for a stub
-  whose stream-health methods count, so a disabled run that brushed the
-  per-stream health registry (PR 8) fails the same zero-touch gate.
+  hot path never enters a span or resolves a counter.  The engine holds
+  no per-stream health row at all (the stream's owner feeds it), so the
+  ``obs`` swap is the whole probe.
 * **chunk latency** — per-chunk ``push()`` wall latency (p50/p99, ms) is
   measured in a *separate* untimed pass so the latency bookkeeping never
   perturbs the gated samples/s numbers.  These are the SLO numbers the
@@ -204,12 +203,10 @@ class _ObsProbe:
     """An ``obs``-module lookalike with no registry behind it.
 
     ``enabled()`` is hard-wired ``False`` (the one check the hoisted fast
-    path is allowed to make); every *other* touch — entering a span,
-    resolving a counter/gauge/histogram, or (via the paired
-    :class:`_TelemetryStub`) touching a stream-health row — bumps
-    ``touches``.  A correctly hoisted hot path therefore times
-    identically to the real disabled ``obs`` module and finishes with
-    ``touches == 0``.
+    path is allowed to make); every *other* touch — entering a span or
+    resolving a counter/gauge/histogram — bumps ``touches``.  A correctly
+    hoisted hot path therefore times identically to the real disabled
+    ``obs`` module and finishes with ``touches == 0``.
     """
 
     def __init__(self) -> None:
@@ -238,65 +235,23 @@ class _ObsProbe:
         return self._instrument
 
 
-class _HealthProbe:
-    """A stream-health row whose every method counts as an obs touch."""
-
-    def __init__(self, probe: _ObsProbe) -> None:
-        self._probe = probe
-
-    def observe_chunk(self, *args: object, **kwargs: object) -> None:
-        self._probe.touches += 1
-
-    def note_alert(self, *args: object, **kwargs: object) -> None:
-        self._probe.touches += 1
-
-    def mark_finished(self, *args: object, **kwargs: object) -> None:
-        self._probe.touches += 1
-
-    def snapshot(self, *args: object, **kwargs: object) -> Dict[str, object]:
-        self._probe.touches += 1
-        return {}
-
-
-class _TelemetryStub:
-    """A ``repro.obs.telemetry`` lookalike for the zero-touch probe.
-
-    An engine constructed without a ``stream_id`` binds
-    ``NULL_STREAM_HEALTH`` — here a counting :class:`_HealthProbe` — so
-    any health-row call the disabled hot path makes shows up in the same
-    ``touches`` count the benchmark asserts to be zero.
-    """
-
-    def __init__(self, probe: _ObsProbe) -> None:
-        self._probe = probe
-        self.NULL_STREAM_HEALTH = _HealthProbe(probe)
-
-    def register_stream(self, stream_id: str, sample_rate: float) -> _HealthProbe:
-        self._probe.touches += 1
-        return self.NULL_STREAM_HEALTH
-
-
 @contextlib.contextmanager
 def _patched_obs(probe: _ObsProbe) -> Iterator[None]:
-    """Swap the ``obs`` + ``telemetry`` modules seen by the hot path."""
+    """Swap the ``obs`` module seen by the hot path for ``probe``."""
     import importlib
 
     modules = tuple(
         importlib.import_module(f"repro.{name}")
         for name in ("core.engine", "core.comparator", "sync.dwm", "sync.tde")
     )
-    engine_mod = modules[0]
     saved = [m.obs for m in modules]
-    saved_telemetry = engine_mod.telemetry
     for m in modules:
         m.obs = probe  # type: ignore[misc]
-    engine_mod.telemetry = _TelemetryStub(probe)  # type: ignore[misc]
     try:
         yield
     finally:
         for m, original in zip(modules, saved):
             m.obs = original  # type: ignore[misc]
-        engine_mod.telemetry = saved_telemetry  # type: ignore[misc]
 
 
 def count_hot_path_obs_calls(
@@ -314,9 +269,6 @@ def count_hot_path_obs_calls(
     reference, observed = w.signals()
     probe = _ObsProbe()
     with _patched_obs(probe):
-        # Constructed inside the patch so the engine binds the counting
-        # health row: a hot path that brushed per-stream telemetry would
-        # be counted, not silently absorbed by the real null singleton.
         engine = w.engine(reference)
         probe.touches = 0  # construction itself is not the hot path
         _push_loop(engine, w, observed)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
@@ -35,6 +35,7 @@ __all__ = [
     "SpanStats",
     "MetricsRegistry",
     "SNAPSHOT_VERSION",
+    "sorted_quantile",
 ]
 
 #: Schema version of :meth:`MetricsRegistry.snapshot` documents.
@@ -86,6 +87,22 @@ class Gauge:
         return self._value
 
 
+def sorted_quantile(values: Sequence[float], q: float) -> float:
+    """Exact quantile of ascending ``values`` (nearest-rank with linear
+    interpolation); 0.0 when there are none."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    if not values:
+        return 0.0
+    pos = q * (len(values) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return values[lo]
+    frac = pos - lo
+    return values[lo] * (1.0 - frac) + values[hi] * frac
+
+
 class Histogram:
     """A value distribution with exact quantiles.
 
@@ -125,19 +142,9 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Exact quantile (nearest-rank with linear interpolation)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
             values = sorted(self._values)
-        if not values:
-            return 0.0
-        pos = q * (len(values) - 1)
-        lo = math.floor(pos)
-        hi = math.ceil(pos)
-        if lo == hi:
-            return values[lo]
-        frac = pos - lo
-        return values[lo] * (1.0 - frac) + values[hi] * frac
+        return sorted_quantile(values, q)
 
     def summary(self) -> Dict[str, float]:
         with self._lock:
@@ -145,23 +152,14 @@ class Histogram:
         if not values:
             return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
                     "p50": 0.0, "p90": 0.0, "p99": 0.0}
-
-        def q(qq: float) -> float:
-            pos = qq * (len(values) - 1)
-            lo, hi = math.floor(pos), math.ceil(pos)
-            if lo == hi:
-                return values[lo]
-            frac = pos - lo
-            return values[lo] * (1.0 - frac) + values[hi] * frac
-
         return {
             "count": self._count,
             "mean": self._total / self._count,
             "min": values[0],
             "max": values[-1],
-            "p50": q(0.50),
-            "p90": q(0.90),
-            "p99": q(0.99),
+            "p50": sorted_quantile(values, 0.50),
+            "p90": sorted_quantile(values, 0.90),
+            "p99": sorted_quantile(values, 0.99),
         }
 
 

@@ -14,12 +14,13 @@ running** — the introspection surface a long-lived multi-stream service
   probe).  For scrape-less environments :func:`start_snapshot_exporter`
   periodically writes the same documents to a file (atomic
   write-then-rename, so readers never see a torn snapshot).
-* **Per-stream health** — every :class:`~repro.core.engine.DetectionEngine`
-  constructed with a ``stream_id`` registers a :class:`StreamHealth` row in
-  the process-wide :class:`StreamHealthRegistry`: ingest lag vs. real time,
-  per-chunk push-latency quantiles (p50/p95/p99), samples/s, windows
-  scored, quarantine and SENSOR_FAULT state, and the last alert.  This
-  registry is what the future fleet service fronts.
+* **Per-stream health** — the owner of a detection stream (the fleet
+  server for each served printer, ``repro detect --stream`` for its one
+  stream) registers a :class:`StreamHealth` row in the process-wide
+  :class:`StreamHealthRegistry` and feeds it from every push result:
+  ingest lag vs. real time, per-chunk push-latency quantiles
+  (p50/p95/p99), samples/s, windows scored, quarantine and SENSOR_FAULT
+  state, and the last alert.
 * **Metric-name schema** — registry names (``repro.core.engine.samples``)
   map to Prometheus names by replacing every non-``[a-zA-Z0-9_:]`` rune
   with ``_``; counters gain a ``_total`` suffix, histograms render as
@@ -27,13 +28,12 @@ running** — the introspection surface a long-lived multi-stream service
   ``repro_span_*{span="<qualified>"}`` families, and per-stream series as
   ``repro_stream_*{stream="<id>"}`` (see :data:`STREAM_FAMILIES`).
 
-Cost discipline matches the rest of :mod:`repro.obs`: health rows update
-only on the *instrumented* branch of ``DetectionEngine.push`` — with
-observability disabled the hot path performs zero telemetry touches
-(structurally asserted by ``benchmarks/bench_engine_throughput.py``), and
-an unregistered engine holds the shared :data:`NULL_STREAM_HEALTH` whose
-methods are empty.  Zero dependencies: ``http.server`` + ``threading`` +
-``json`` only.
+The detection engine itself never touches this module: rows are fed by
+the stream's owner whether or not observability is enabled, so the row
+reads the same in every mode while the engine's disabled hot path stays
+free of obs calls (structurally asserted by
+``benchmarks/bench_engine_throughput.py``).  Zero dependencies:
+``http.server`` + ``threading`` + ``json`` only.
 
 Environment: ``REPRO_TELEMETRY=<port>`` (or ``<host>:<port>``) starts the
 endpoint at import time; ``REPRO_TELEMETRY_SNAPSHOT=<path>`` starts the
@@ -48,11 +48,12 @@ import os
 import re
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from .metrics import Histogram
+from .metrics import sorted_quantile
 
 __all__ = [
     "ENV_VAR",
@@ -61,8 +62,6 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "STREAM_FAMILIES",
     "StreamHealth",
-    "NullStreamHealth",
-    "NULL_STREAM_HEALTH",
     "StreamHealthRegistry",
     "streams",
     "register_stream",
@@ -129,9 +128,9 @@ STREAM_FAMILIES: Tuple[Tuple[str, str, str], ...] = (
      "per-chunk DetectionEngine.push wall latency"),
 )
 
-#: Ring size of each stream's chunk-latency histogram: big enough for
-#: stable p99 at DAQ chunk rates, bounded so a week-long stream cannot
-#: grow memory.
+#: How many of a stream's latest chunk latencies its quantiles cover: big
+#: enough for stable p99 at DAQ chunk rates, bounded so a week-long
+#: stream cannot grow memory.
 _LATENCY_SAMPLES = 8192
 
 
@@ -139,9 +138,8 @@ class StreamHealth:
     """Live health row of one detection stream (thread-safe).
 
     All mutation happens through :meth:`observe_chunk` /
-    :meth:`note_alert` / :meth:`mark_finished`, called by the engine's
-    *instrumented* push branch only — a disabled-observability engine
-    never touches this object after construction.
+    :meth:`note_alert` / :meth:`mark_finished`, called by the stream's
+    owner after each push and once the engine finalized.
     """
 
     def __init__(self, stream_id: str, sample_rate: float) -> None:
@@ -155,7 +153,6 @@ class StreamHealth:
         self._created_ts = time.time()
         self._created_mono = time.perf_counter()
         self._last_push_mono = self._created_mono
-        self._last_push_ts: Optional[float] = None
         self._samples = 0
         self._chunks = 0
         self._windows = 0
@@ -165,9 +162,10 @@ class StreamHealth:
         self._last_alert: Optional[Dict[str, object]] = None
         self._finished = False
         self._intrusion: Optional[bool] = None
-        self._latency = Histogram(
-            f"stream.{stream_id}.chunk_latency_s", _LATENCY_SAMPLES
-        )
+        # The latest per-chunk push latencies, kept under the row's own
+        # lock: one lock and no extra object per chunk on the ingest path.
+        self._latency: Deque[float] = deque(maxlen=_LATENCY_SAMPLES)
+        self._latency_total = 0.0
 
     # ------------------------------------------------------------------
     def observe_chunk(
@@ -178,19 +176,24 @@ class StreamHealth:
         n_quarantined: int,
         sensor_fault: bool,
     ) -> None:
-        """Record one instrumented ``push()``: volume, latency, progress."""
+        """Record one ``push()``: volume, latency, progress.
+
+        Runs once per chunk on the owner's ingest path, so it takes plain
+        Python numbers as they are and reads one clock; the wall-clock
+        push time is derived when a snapshot is taken.
+        """
         with self._lock:
-            self._samples += int(n_samples)
+            self._samples += n_samples
             self._chunks += 1
-            self._windows = int(n_indexes)
-            self._quarantined = int(n_quarantined)
-            self._sensor_fault = bool(sensor_fault)
+            self._windows = n_indexes
+            self._quarantined = n_quarantined
+            self._sensor_fault = sensor_fault
             self._last_push_mono = time.perf_counter()
-            self._last_push_ts = time.time()
-        self._latency.observe(float(latency_s))
+            self._latency.append(latency_s)
+            self._latency_total += latency_s
 
     def note_alert(self, submodule: str, time_s: float) -> None:
-        """Record one raised alert (called off the per-chunk fast path)."""
+        """Record one raised alert."""
         with self._lock:
             self._alerts += 1
             self._last_alert = {
@@ -221,7 +224,11 @@ class StreamHealth:
                 "state": "finished" if self._finished else "live",
                 "sample_rate": self.sample_rate,
                 "created_ts": self._created_ts,
-                "last_push_ts": self._last_push_ts,
+                "last_push_ts": (
+                    self._created_ts + (self._last_push_mono - self._created_mono)
+                    if self._chunks
+                    else None
+                ),
                 "samples": samples,
                 "chunks": self._chunks,
                 "windows": self._windows,
@@ -237,46 +244,19 @@ class StreamHealth:
                 "staleness_s": staleness,
                 "snapshot_ts": wall,
             }
+            chunks = self._chunks
+            latency_total = self._latency_total
+            latencies = list(self._latency)
+        latencies.sort()
         doc["chunk_latency"] = {
-            "count": self._latency.count,
-            "mean_s": self._latency.mean,
+            "count": chunks,
+            "mean_s": latency_total / chunks if chunks else 0.0,
             **{
-                f"p{int(q * 100)}_s": self._latency.quantile(q)
+                f"p{int(q * 100)}_s": sorted_quantile(latencies, q)
                 for q in _QUANTILES
             },
         }
         return doc
-
-
-class NullStreamHealth:
-    """Disabled-path health row: accepts every call and drops it."""
-
-    __slots__ = ()
-    stream_id = ""
-    sample_rate = 0.0
-
-    def observe_chunk(
-        self,
-        n_samples: int,
-        latency_s: float,
-        n_indexes: int,
-        n_quarantined: int,
-        sensor_fault: bool,
-    ) -> None:
-        pass
-
-    def note_alert(self, submodule: str, time_s: float) -> None:
-        pass
-
-    def mark_finished(self, intrusion: Optional[bool] = None) -> None:
-        pass
-
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:
-        return {}
-
-
-#: Shared singleton held by engines constructed without a ``stream_id``.
-NULL_STREAM_HEALTH = NullStreamHealth()
 
 
 class StreamHealthRegistry:

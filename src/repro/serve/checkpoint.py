@@ -4,6 +4,9 @@ One JSON file per stream under the store directory, written tmp +
 ``os.replace`` so a reader (or a restarted service) never observes a
 torn checkpoint; a writer SIGKILLed mid-write leaves only a ``.tmp``
 sibling, which loading ignores and the next successful save overwrites.
+File names are a readable encoding of the stream id, or a digest of it
+when that encoding would not fit in one file name; either way the
+envelope inside records the raw id.
 
 Loading is fail-soft by design: *any* malformed checkpoint — truncated
 JSON, wrong schema, a missing field — is "checkpoint unusable, restart
@@ -15,6 +18,7 @@ decides what a failure means.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import warnings
@@ -27,6 +31,12 @@ __all__ = ["CHECKPOINT_SUFFIX", "CheckpointStore", "CheckpointWarning"]
 
 #: Suffix of live checkpoint files (``<encoded stream id>.ckpt.json``).
 CHECKPOINT_SUFFIX = ".ckpt.json"
+
+#: Suffix of the in-flight sibling a save writes before ``os.replace``.
+_TMP_SUFFIX = ".tmp"
+
+#: Longest file name, in bytes, common filesystems accept (NAME_MAX).
+_NAME_MAX = 255
 
 
 class CheckpointWarning(UserWarning):
@@ -49,6 +59,21 @@ def _encode_stream_id(stream_id: str) -> str:
     return "".join(out)
 
 
+def _file_stem(stream_id: str) -> str:
+    """File-name stem of a stream's checkpoint, always short enough.
+
+    The readable encoding when its longest file (the ``.tmp`` sibling)
+    fits in :data:`_NAME_MAX` bytes; otherwise ``%sha256-<hex digest>``.
+    A readable encoding only ever emits ``%`` followed by two hex digits,
+    so the ``%s`` prefix cannot collide with any of them.
+    """
+    encoded = _encode_stream_id(stream_id)
+    if len(encoded) + len(CHECKPOINT_SUFFIX) + len(_TMP_SUFFIX) <= _NAME_MAX:
+        return encoded
+    digest = hashlib.sha256(stream_id.encode("utf-8")).hexdigest()
+    return f"%sha256-{digest}"
+
+
 class CheckpointStore:
     """Directory of per-stream ``DetectorState`` checkpoints."""
 
@@ -57,9 +82,7 @@ class CheckpointStore:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def path(self, stream_id: str) -> Path:
-        return self.directory / (
-            _encode_stream_id(stream_id) + CHECKPOINT_SUFFIX
-        )
+        return self.directory / (_file_stem(stream_id) + CHECKPOINT_SUFFIX)
 
     # ------------------------------------------------------------------
     def save(self, stream_id: str, state_doc: Dict[str, object]) -> Path:
@@ -80,7 +103,7 @@ class CheckpointStore:
             "state": state_doc,
         }
         path = self.path(stream_id)
-        tmp = path.with_name(path.name + ".tmp")
+        tmp = path.with_name(path.name + _TMP_SUFFIX)
         tmp.write_text(json.dumps(envelope, separators=(",", ":")) + "\n")
         os.replace(tmp, path)
         return path

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -105,23 +105,14 @@ class ServeModel:
         )
 
     # ------------------------------------------------------------------
-    def build_engine(
-        self, stream_id: Optional[str] = None
-    ) -> DetectionEngine:
-        """A fresh armed engine for one stream.
-
-        ``stream_id`` registers the engine in the live telemetry registry
-        — pass it in in-process (inline-shard) mode only; process-mode
-        workers run un-registered and the parent mirrors their health
-        rows from chunk acknowledgements instead.
-        """
+    def build_engine(self) -> DetectionEngine:
+        """A fresh armed engine for one stream."""
         return DetectionEngine(
             self.reference,
             DwmSynchronizer(self.params),
             thresholds=self.thresholds,
             metric=self.metric,
             filter_window=self.filter_window,
-            stream_id=stream_id,
         )
 
 

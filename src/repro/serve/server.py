@@ -25,17 +25,21 @@ Resume guarantees:
   the next one) restarts from scratch — reported, never crashing the
   service.
 
-Health rows: in inline mode engines self-register with the process-wide
-registry; in process mode the parent mirrors each worker's per-chunk
-stats into its own registry rows, so one ``/metrics`` endpoint serves
-the whole fleet either way.
+Health rows: the server owns every stream's
+:class:`~repro.obs.telemetry.StreamHealth` row.  It registers the row at
+a fresh ``open`` and feeds it from each chunk acknowledgement and from
+the ``close`` verdict — one path whether the engine ran inline or in a
+shard worker — so one ``/metrics`` endpoint serves the whole fleet and
+the same traffic gives the same row in every shard mode.  Each feed is
+scheduled with ``loop.call_soon`` and so runs after the reply it belongs
+to has been written.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Union
 
@@ -56,6 +60,36 @@ from .shard import ShardCrashed, ShardPool
 __all__ = ["FleetServer", "StreamInfo"]
 
 
+def _note_alerts(row: telemetry.StreamHealth, alerts: object) -> None:
+    """Record the alert dicts of one acknowledgement on a health row."""
+    assert isinstance(alerts, list)
+    for alert in alerts:
+        row.note_alert(str(alert["submodule"]), float(alert["time_s"]))
+
+
+def _feed_chunk(
+    row: telemetry.StreamHealth, n_samples: int, ack: Dict[str, object]
+) -> None:
+    """Record one chunk acknowledgement on the stream's health row."""
+    row.observe_chunk(
+        n_samples,
+        ack["latency_s"],  # type: ignore[arg-type]
+        ack["n_indexes"],  # type: ignore[arg-type]
+        ack["n_quarantined"],  # type: ignore[arg-type]
+        ack["sensor_fault"],  # type: ignore[arg-type]
+    )
+    if ack["alerts"]:
+        _note_alerts(row, ack["alerts"])
+
+
+def _feed_close(row: telemetry.StreamHealth, ack: Dict[str, object]) -> None:
+    """Record a close acknowledgement: the alerts ``finalize()`` raised,
+    then the verdict."""
+    _note_alerts(row, ack["finalize_alerts"])
+    intrusion = ack.get("intrusion")
+    row.mark_finished(bool(intrusion) if intrusion is not None else None)
+
+
 @dataclass
 class StreamInfo:
     """The parent's bookkeeping row for one open stream."""
@@ -64,13 +98,15 @@ class StreamInfo:
     shard: int
     #: Connection currently allowed to push (None after its socket died).
     owner: Optional[int]
+    #: The stream's live telemetry row (held here so the per-chunk feed
+    #: skips the registry lock).
+    health: telemetry.StreamHealth
     #: Next expected per-session chunk counter.
     next_seq: int = 0
     #: Engine cursor after the last acknowledged operation.
     samples_seen: int = 0
     #: False once the stream's shard crashed; the client must re-open.
     live: bool = True
-    chunks: int = field(default=0)
 
 
 class FleetServer:
@@ -183,15 +219,19 @@ class FleetServer:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._ckpt_task
             self._ckpt_task = None
-        await self.checkpoint_now()
-        telemetry.clear_service_stats()
-        if self._started_telemetry:
-            telemetry.stop()
-        if self.pool is not None:
-            self.pool.shutdown()
-        if self.unix_path is not None:
-            with contextlib.suppress(OSError):
-                self.unix_path.unlink()
+        try:
+            await self.checkpoint_now()
+        finally:
+            # Release the workers, the endpoint and the socket even when
+            # the final checkpoint fails; its error still propagates.
+            telemetry.clear_service_stats()
+            if self._started_telemetry:
+                telemetry.stop()
+            if self.pool is not None:
+                self.pool.shutdown()
+            if self.unix_path is not None:
+                with contextlib.suppress(OSError):
+                    self.unix_path.unlink()
 
     # ------------------------------------------------------------------
     def service_stats(self) -> Dict[str, float]:
@@ -375,19 +415,21 @@ class FleetServer:
             state_doc = self.checkpoints.load(stream_id)
         ack = await self.pool.open(stream_id, state_doc)
         samples_seen = int(ack["samples_seen"])  # type: ignore[arg-type]
-        fresh_row = info is None or not info.live
         self._streams[stream_id] = StreamInfo(
             stream_id=stream_id,
             shard=self.pool.shard_of(stream_id),
             owner=conn_id,
+            health=(
+                info.health
+                if info is not None and info.live
+                else telemetry.register_stream(
+                    stream_id, self.model.reference.sample_rate
+                )
+            ),
             next_seq=0,
             samples_seen=samples_seen,
             live=True,
         )
-        if not self.pool.inline and fresh_row:
-            telemetry.register_stream(
-                stream_id, self.model.reference.sample_rate
-            )
         reply: Dict[str, Any] = {
             "ok": True,
             "op": "open",
@@ -424,13 +466,16 @@ class FleetServer:
         samples = samples_to_array(doc.get("samples"))
         ack = await self.pool.chunk(stream_id, samples)
         info.next_seq += 1
-        info.chunks += 1
         info.samples_seen = int(ack["samples_seen"])  # type: ignore[arg-type]
         info.owner = conn_id
         self._chunks_total += 1
         self._samples_total += samples.shape[0]
-        if not self.pool.inline:
-            self._mirror_chunk(stream_id, samples.shape[0], ack)
+        # The row is fed once this reply is on the wire, keeping telemetry
+        # off the chunk's latency path; callbacks run in FIFO order, so
+        # every row sees its stream's acks in the order they were made.
+        asyncio.get_running_loop().call_soon(
+            _feed_chunk, info.health, samples.shape[0], ack
+        )
         return {
             "ok": True,
             "op": "chunk",
@@ -462,13 +507,7 @@ class FleetServer:
             self._streams.pop(stream_id, None)
         if self.checkpoints is not None:
             self.checkpoints.delete(stream_id)
-        if not self.pool.inline:
-            row = telemetry.streams().get(stream_id)
-            if row is not None:
-                intrusion = ack.get("intrusion")
-                row.mark_finished(
-                    bool(intrusion) if intrusion is not None else None
-                )
+        asyncio.get_running_loop().call_soon(_feed_close, info.health, ack)
         reply: Dict[str, Any] = {
             "ok": True,
             "op": "close",
@@ -480,24 +519,3 @@ class FleetServer:
             reply["result"] = ack["result"]
             reply["intrusion"] = ack["intrusion"]
         return reply
-
-    def _mirror_chunk(
-        self, stream_id: str, n_samples: int, ack: Dict[str, object]
-    ) -> None:
-        """Replay a worker's chunk stats into the parent's health row."""
-        row = telemetry.streams().get(stream_id)
-        if row is None:
-            return
-        row.observe_chunk(
-            n_samples=n_samples,
-            latency_s=float(ack["latency_s"]),  # type: ignore[arg-type]
-            n_indexes=int(ack["n_indexes"]),  # type: ignore[arg-type]
-            n_quarantined=int(ack["n_quarantined"]),  # type: ignore[arg-type]
-            sensor_fault=bool(ack["sensor_fault"]),
-        )
-        alerts = ack["alerts"]
-        assert isinstance(alerts, list)
-        for alert in alerts:
-            row.note_alert(
-                str(alert["submodule"]), float(alert["time_s"])
-            )

@@ -18,11 +18,12 @@ A shard is the unit of ordering *and* of failure:
 ``n_shards == 0`` is **inline mode**: the same :class:`EngineHost` logic
 runs in-process with direct calls — no pickling, no subprocesses — used
 by tests, single-core deployments, and as the apples-to-apples baseline
-for the serve benchmark.  Inline engines register with the live
-telemetry registry themselves (``DetectionEngine(stream_id=...)``);
-process-mode workers run unregistered (their registry would be invisible
-in the child) and the parent mirrors health rows from the stats each
-call returns.
+for the serve benchmark.  Both modes dispatch through one path: a call
+names an :class:`EngineHost` method, which inline mode looks up on its
+own host and process mode ships to the worker's host via
+:func:`_worker_call`.  Hosts know nothing of telemetry; the stats each
+chunk acknowledgement carries are what the server feeds its health rows
+from.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import time
 import zlib
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, TypeVar
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -42,8 +43,6 @@ from ..core.engine import DetectionEngine, DetectorState
 from .model import ServeModel
 
 __all__ = ["EngineHost", "ShardCrashed", "ShardPool", "shard_of"]
-
-T = TypeVar("T")
 
 
 class ShardCrashed(RuntimeError):
@@ -72,9 +71,8 @@ class EngineHost:
     acknowledgement payloads.
     """
 
-    def __init__(self, model: ServeModel, register_streams: bool) -> None:
+    def __init__(self, model: ServeModel) -> None:
         self.model = model
-        self.register_streams = register_streams
         self.engines: Dict[str, DetectionEngine] = {}
 
     # ------------------------------------------------------------------
@@ -96,9 +94,7 @@ class EngineHost:
                 "resumed": True,
                 "reattached": True,
             }
-        engine = self.model.build_engine(
-            stream_id=stream_id if self.register_streams else None
-        )
+        engine = self.model.build_engine()
         resumed = False
         reason: Optional[str] = None
         if state_doc is not None:
@@ -107,9 +103,7 @@ class EngineHost:
                 resumed = True
             except ValueError as exc:
                 reason = str(exc)
-                engine = self.model.build_engine(
-                    stream_id=stream_id if self.register_streams else None
-                )
+                engine = self.model.build_engine()
         self.engines[stream_id] = engine
         reply: Dict[str, object] = {
             "samples_seen": engine.samples_seen,
@@ -136,13 +130,20 @@ class EngineHost:
         }
 
     def close(self, stream_id: str) -> Dict[str, object]:
-        """Finalize the stream's engine and return the full verdict."""
+        """Finalize the stream's engine and return the full verdict.
+
+        ``alerts`` lists every alert of the run; ``finalize_alerts`` only
+        those the end-of-run checks raised (no chunk ack carried them).
+        """
         engine = self.engines.pop(stream_id)
+        n_pushed = len(engine.alerts)
         result = engine.finalize()
         detection = result.detection
+        alerts = [a.to_dict() for a in result.alerts]
         reply: Dict[str, object] = {
             "samples_seen": engine.samples_seen,
-            "alerts": [a.to_dict() for a in result.alerts],
+            "alerts": alerts,
+            "finalize_alerts": alerts[n_pushed:],
         }
         if detection is not None:
             reply["intrusion"] = detection.is_intrusion
@@ -163,6 +164,10 @@ class EngineHost:
     def stream_ids(self) -> List[str]:
         return sorted(self.engines)
 
+    def pid(self) -> int:
+        """OS pid of the process this host runs in."""
+        return os.getpid()
+
 
 # ---------------------------------------------------------------------------
 # Worker-process plumbing: one module-global host per worker, initialized
@@ -172,56 +177,31 @@ class EngineHost:
 _HOST: Optional[EngineHost] = None
 
 
-def _host() -> EngineHost:
-    assert _HOST is not None, "worker used before _worker_init"
-    return _HOST
-
-
 def _worker_init(model_dir: str) -> None:
     global _HOST
-    _HOST = EngineHost(ServeModel.from_dir(model_dir), register_streams=False)
+    _HOST = EngineHost(ServeModel.from_dir(model_dir))
 
 
-def _worker_open(
-    stream_id: str, state_doc: Optional[Dict[str, object]]
-) -> Dict[str, object]:
-    return _host().open(stream_id, state_doc)
-
-
-def _worker_chunk(stream_id: str, samples: np.ndarray) -> Dict[str, object]:
-    return _host().chunk(stream_id, samples)
-
-
-def _worker_close(stream_id: str) -> Dict[str, object]:
-    return _host().close(stream_id)
-
-
-def _worker_drop(stream_id: str) -> bool:
-    return _host().drop(stream_id)
-
-
-def _worker_states() -> Dict[str, Dict[str, object]]:
-    return _host().states()
-
-
-def _worker_pid() -> int:
-    return os.getpid()
+def _worker_call(method: str, *args: Any) -> Any:
+    """Run one :class:`EngineHost` method on this worker's host."""
+    assert _HOST is not None, "worker used before _worker_init"
+    return getattr(_HOST, method)(*args)
 
 
 class ShardPool:
     """The shard layer: inline (``n_shards == 0``) or process-backed.
 
-    All async methods run on the caller's event loop; process-mode calls
-    go through ``loop.run_in_executor`` so the loop stays responsive
-    while a worker computes.  Inline mode calls the host directly —
-    blocking, ordered by the single-threaded loop itself.
+    All async methods run on the caller's event loop and dispatch through
+    :meth:`_call`: process-mode calls go through ``loop.run_in_executor``
+    so the loop stays responsive while a worker computes; inline mode
+    calls the host directly — blocking, ordered by the single-threaded
+    loop itself.
     """
 
     def __init__(
         self,
         model_dir: str,
         n_shards: int = 0,
-        register_inline_streams: bool = True,
         model: Optional[ServeModel] = None,
         on_crash: Optional[Callable[[int], None]] = None,
     ) -> None:
@@ -239,8 +219,7 @@ class ShardPool:
         self._gen: List[int] = []
         if self.n_shards == 0:
             self._inline = EngineHost(
-                model if model is not None else ServeModel.from_dir(model_dir),
-                register_streams=register_inline_streams,
+                model if model is not None else ServeModel.from_dir(model_dir)
             )
         else:
             self._mp = multiprocessing.get_context("spawn")
@@ -270,17 +249,18 @@ class ShardPool:
         """Calls submitted to workers and not yet completed."""
         return sum(self._depth)
 
-    async def _call(
-        self, shard: int, fn: Callable[..., T], *args: Any
-    ) -> T:
+    async def _call(self, shard: int, method: str, *args: Any) -> Any:
+        """Run ``EngineHost.<method>(*args)`` on ``shard``'s host."""
         if self._inline is not None:
-            return fn(*args)
+            return getattr(self._inline, method)(*args)
         executor = self._executors[shard]
         gen = self._gen[shard]
         loop = asyncio.get_running_loop()
         self._depth[shard] += 1
         try:
-            return await loop.run_in_executor(executor, partial(fn, *args))
+            return await loop.run_in_executor(
+                executor, partial(_worker_call, method, *args)
+            )
         except BrokenExecutor:
             # Replace the dead worker exactly once per breakage: a burst
             # of in-flight calls all fail, but only the first observer of
@@ -304,47 +284,31 @@ class ShardPool:
     async def open(
         self, stream_id: str, state_doc: Optional[Dict[str, object]]
     ) -> Dict[str, object]:
-        if self._inline is not None:
-            return self._inline.open(stream_id, state_doc)
         return await self._call(
-            self.shard_of(stream_id), _worker_open, stream_id, state_doc
+            self.shard_of(stream_id), "open", stream_id, state_doc
         )
 
     async def chunk(
         self, stream_id: str, samples: np.ndarray
     ) -> Dict[str, object]:
-        if self._inline is not None:
-            return self._inline.chunk(stream_id, samples)
         return await self._call(
-            self.shard_of(stream_id), _worker_chunk, stream_id, samples
+            self.shard_of(stream_id), "chunk", stream_id, samples
         )
 
     async def close(self, stream_id: str) -> Dict[str, object]:
-        if self._inline is not None:
-            return self._inline.close(stream_id)
-        return await self._call(
-            self.shard_of(stream_id), _worker_close, stream_id
-        )
+        return await self._call(self.shard_of(stream_id), "close", stream_id)
 
     async def drop(self, stream_id: str) -> bool:
-        if self._inline is not None:
-            return self._inline.drop(stream_id)
-        return await self._call(
-            self.shard_of(stream_id), _worker_drop, stream_id
-        )
+        return await self._call(self.shard_of(stream_id), "drop", stream_id)
 
     async def states(self, shard: int) -> Dict[str, Dict[str, object]]:
         """Every live state on one shard, snapshotted at a chunk boundary."""
-        if self._inline is not None:
-            return self._inline.states()
-        return await self._call(shard, _worker_states)
+        return await self._call(shard, "states")
 
     async def all_states(self) -> Dict[str, Dict[str, object]]:
         """Every live state across all shards (crashed shards skipped)."""
-        if self._inline is not None:
-            return self._inline.states()
         merged: Dict[str, Dict[str, object]] = {}
-        for shard in range(self.n_shards):
+        for shard in range(max(1, self.n_shards)):
             try:
                 merged.update(await self.states(shard))
             except ShardCrashed:
@@ -353,9 +317,7 @@ class ShardPool:
 
     async def pid(self, shard: int) -> int:
         """The shard worker's OS pid (inline mode: this process)."""
-        if self._inline is not None:
-            return os.getpid()
-        return await self._call(shard, _worker_pid)
+        return await self._call(shard, "pid")
 
     def shutdown(self) -> None:
         """Stop every executor (idempotent; inline mode is a no-op)."""

@@ -93,18 +93,6 @@ class TestMeasurement:
         probe.histogram("h").observe(2.0)
         assert probe.touches == 4
 
-    def test_health_probe_counts_stream_touches(self):
-        """The telemetry stub must catch hot-path StreamHealth brushes."""
-        from repro.eval.throughput import _TelemetryStub
-
-        probe = _ObsProbe()
-        stub = _TelemetryStub(probe)
-        row = stub.register_stream("p1", 200.0)
-        row.observe_chunk(10, 0.001, 1, 0, False)
-        row.note_alert("c_disp", 1.0)
-        row.snapshot()
-        assert probe.touches == 4  # register + 3 row touches
-
 
 class TestBaseline:
     def test_missing_file_is_none(self, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from repro import obs
 from repro.obs import telemetry
 from repro.obs.telemetry import (
-    NULL_STREAM_HEALTH,
     STREAM_FAMILIES,
     SnapshotExporter,
     StreamHealth,
@@ -71,12 +70,6 @@ class TestStreamHealth:
         row.observe_chunk(10, 0.001, 1, 0, False)
         row.note_alert("c_disp", 1.0)
         json.dumps(row.snapshot())
-
-    def test_null_stream_health_is_inert(self):
-        NULL_STREAM_HEALTH.observe_chunk(10, 0.1, 1, 0, True)
-        NULL_STREAM_HEALTH.note_alert("c_disp", 1.0)
-        NULL_STREAM_HEALTH.mark_finished()
-        assert NULL_STREAM_HEALTH.snapshot() == {}
 
 
 class TestStreamHealthRegistry:
@@ -264,7 +257,10 @@ class TestSnapshotExporter:
 
 
 class TestEngineIntegration:
-    def _engine(self, stream_id=None):
+    def test_no_stream_id_means_no_registration(self):
+        """The engine never registers or feeds a health row, even with
+        observability on: the stream's owner does (see
+        tests/serve/test_health_parity.py and the CLI telemetry tests)."""
         import numpy as np
 
         from repro.core.discriminator import Thresholds
@@ -272,58 +268,16 @@ class TestEngineIntegration:
         from repro.signals.signal import Signal
         from repro.sync.dwm import DwmParams, DwmSynchronizer
 
+        obs.enable()
         rng = np.random.default_rng(3)
         base = np.sin(np.arange(2000) / 20.0) + 0.1 * rng.standard_normal(2000)
-        reference = Signal(base[:, None].copy(), 200.0)
         engine = DetectionEngine(
-            reference,
+            Signal(base[:, None].copy(), 200.0),
             DwmSynchronizer(DwmParams(t_win=1.0, t_hop=0.5, t_ext=0.5, t_sigma=0.25)),
             Thresholds(c_c=50.0, h_c=20.0, v_c=0.5),
-            stream_id=stream_id,
         )
-        return engine, base
-
-    def test_no_stream_id_means_no_registration(self):
-        engine, _ = self._engine()
-        assert engine.stream_id is None
-        assert len(telemetry.streams()) == 0
-        assert engine._health_row is NULL_STREAM_HEALTH
-
-    def test_stream_id_registers_and_tracks(self):
-        obs.enable()
-        engine, base = self._engine(stream_id="printer-7")
-        assert telemetry.streams().get("printer-7") is not None
         for s in range(0, 2000, 100):
             engine.push(base[s : s + 100, None])
         engine.finalize()
-        doc = telemetry.streams().get("printer-7").snapshot()
-        assert doc["samples"] == 2000
-        assert doc["chunks"] == 20
-        assert doc["state"] == "finished"
-        assert doc["chunk_latency"]["count"] == 20
-        assert doc["windows"] > 0
-
-    def test_disabled_obs_does_not_touch_health_row(self):
-        obs.disable()
-        engine, base = self._engine(stream_id="printer-8")
-        for s in range(0, 2000, 100):
-            engine.push(base[s : s + 100, None])
-        doc = telemetry.streams().get("printer-8").snapshot()
-        assert doc["samples"] == 0
-        assert doc["chunks"] == 0
-
-    def test_facade_passes_stream_id_through(self):
-        import numpy as np
-
-        from repro.core import NsyncIds
-        from repro.signals.signal import Signal
-        from repro.sync.dwm import DwmParams, DwmSynchronizer
-
-        base = np.sin(np.arange(1000) / 20.0)
-        ids = NsyncIds(
-            Signal(base[:, None].copy(), 200.0),
-            DwmSynchronizer(DwmParams(t_win=1.0, t_hop=0.5, t_ext=0.5, t_sigma=0.25)),
-        )
-        engine = ids.engine(armed=False, stream_id="p-facade")
-        assert engine.stream_id == "p-facade"
-        assert telemetry.streams().get("p-facade") is not None
+        assert not hasattr(engine, "stream_id")
+        assert len(telemetry.streams()) == 0

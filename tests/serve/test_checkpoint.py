@@ -93,6 +93,25 @@ class TestFilenames:
         store.save("a%2fb", state_doc)
         assert len(list(tmp_path.glob("*" + CHECKPOINT_SUFFIX))) == 2
 
+    def test_over_long_id_gets_a_digest_name(self, tmp_path, state_doc):
+        # The protocol accepts ids up to 512 characters; their readable
+        # encoding would exceed a file name's 255 bytes.
+        store = CheckpointStore(tmp_path)
+        long_id = "p" * 300
+        path = store.save(long_id, state_doc)
+        assert len((path.name + ".tmp").encode()) <= 255
+        assert path.name.startswith("%sha256-")
+        assert store.load(long_id) == state_doc
+        assert store.stream_ids() == [long_id]
+        assert store.delete(long_id) is True
+
+    def test_digest_names_never_collide_with_readable_ones(self, tmp_path):
+        # A readable encoding only emits "%" before two hex digits.
+        store = CheckpointStore(tmp_path)
+        digest_name = store.path("x" * 300).name
+        readable = store.path(digest_name[: -len(CHECKPOINT_SUFFIX)]).name
+        assert readable != digest_name
+
 
 class TestCrashedWriter:
     def test_leftover_tmp_is_ignored(self, tmp_path, state_doc, recwarn):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.obs import telemetry
 from repro.serve import FleetServer
+from repro.serve.checkpoint import CheckpointStore
 from repro.serve.loadgen import offline_verdict, run_loadgen, synth_streams
 from repro.serve.model import demo_observed
 from repro.serve.protocol import encode
@@ -306,6 +307,33 @@ class TestCheckpointing:
         )
         assert cursor == 200
 
+    def test_over_long_stream_id_checkpoints_beside_others(
+        self, model_dir, tmp_path
+    ):
+        ckpt_dir = tmp_path / "ckpt"
+        ids = ("p" * 300, "printer-0001")
+
+        async def scenario(server):
+            reader, writer = await connect(server)
+            try:
+                for stream_id in ids:
+                    await rpc(reader, writer, {
+                        "op": "open", "stream_id": stream_id,
+                    })
+                    await rpc(reader, writer, {
+                        "op": "chunk", "stream_id": stream_id, "seq": 0,
+                        "samples": demo_observed(0, N_SAMPLES)[:300, 0].tolist(),
+                    })
+                n = await server.checkpoint_now()
+            finally:
+                writer.close()
+            return n, [server.checkpoints.samples_seen(s) for s in ids]
+
+        # serve_test stops the server, so returning proves stop() completed.
+        n, cursors = serve_test(model_dir, scenario, checkpoint_dir=ckpt_dir)
+        assert n == 2
+        assert cursors == [300, 300]
+
 
 class TestShutdown:
     def test_stop_drains_and_rejects_new_work(self, model_dir):
@@ -324,6 +352,41 @@ class TestShutdown:
 
         reply = asyncio.run(scenario())
         assert reply["error"] == "shutting_down"
+
+    def test_stop_releases_everything_when_final_checkpoint_fails(
+        self, model_dir, tmp_path, monkeypatch
+    ):
+        async def scenario():
+            server = FleetServer(
+                model_dir, port=0, checkpoint_dir=tmp_path / "ckpt"
+            )
+            await server.start()
+            reader, writer = await connect(server)
+            await rpc(reader, writer, {"op": "open", "stream_id": "p"})
+            await rpc(reader, writer, {
+                "op": "chunk", "stream_id": "p", "seq": 0, "samples": [1.0],
+            })
+            writer.close()
+
+            def disk_full(self, stream_id, state_doc):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(CheckpointStore, "save", disk_full)
+            shutdown_calls = []
+            real_shutdown = server.pool.shutdown
+            monkeypatch.setattr(
+                server.pool, "shutdown",
+                lambda: shutdown_calls.append(1) or real_shutdown(),
+            )
+            with pytest.raises(OSError, match="No space"):
+                await server.stop()
+            return server, shutdown_calls
+
+        server, shutdown_calls = asyncio.run(scenario())
+        assert shutdown_calls == [1]
+        assert telemetry.service_stats() is None
+        with pytest.raises(OSError):
+            asyncio.run(asyncio.open_connection("127.0.0.1", server.port))
 
     def test_stop_clears_service_stats_provider(self, model_dir):
         async def scenario():

@@ -39,7 +39,7 @@ class TestShardOf:
 
 class TestEngineHost:
     def test_open_chunk_close_round_trip(self, model):
-        host = EngineHost(model, register_streams=False)
+        host = EngineHost(model)
         ack = host.open("p", None)
         assert ack == {
             "samples_seen": 0, "resumed": False, "reattached": False,
@@ -56,7 +56,7 @@ class TestEngineHost:
         assert host.open("p", None)["samples_seen"] == 0
 
     def test_reattach_keeps_live_engine(self, model):
-        host = EngineHost(model, register_streams=False)
+        host = EngineHost(model)
         host.open("p", None)
         host.chunk("p", observed()[:300])
         ack = host.open("p", None)
@@ -64,30 +64,30 @@ class TestEngineHost:
         assert ack["samples_seen"] == 300
 
     def test_restore_from_state_doc(self, model):
-        host = EngineHost(model, register_streams=False)
+        host = EngineHost(model)
         host.open("p", None)
         host.chunk("p", observed()[:400])
         doc = host.states()["p"]
         DetectorState.from_dict(doc)  # valid snapshot
-        fresh = EngineHost(model, register_streams=False)
+        fresh = EngineHost(model)
         ack = fresh.open("p", doc)
         assert ack["resumed"] is True
         assert ack["samples_seen"] == 400
 
     def test_rejected_state_doc_degrades_to_fresh(self, model):
-        host = EngineHost(model, register_streams=False)
+        host = EngineHost(model)
         host.open("p", None)
         host.chunk("p", observed()[:400])
         doc = host.states()["p"]
         del doc["progress"]
-        fresh = EngineHost(model, register_streams=False)
+        fresh = EngineHost(model)
         ack = fresh.open("p", doc)
         assert ack["resumed"] is False
         assert ack["samples_seen"] == 0
         assert "progress" in ack["checkpoint_rejected"]
 
     def test_drop_discards_without_finalize(self, model):
-        host = EngineHost(model, register_streams=False)
+        host = EngineHost(model)
         host.open("p", None)
         assert host.drop("p") is True
         assert host.drop("p") is False
@@ -97,8 +97,7 @@ class TestEngineHost:
 class TestInlinePool:
     def test_inline_pool_round_trip(self, model_dir, model):
         async def scenario():
-            pool = ShardPool(str(model_dir), n_shards=0, model=model,
-                             register_inline_streams=False)
+            pool = ShardPool(str(model_dir), n_shards=0, model=model)
             assert pool.inline
             await pool.open("p", None)
             ack = await pool.chunk("p", observed()[:200])

@@ -275,6 +275,46 @@ class TestForensicsWorkflow:
         assert "printer-A" in out
         assert "finished" in out
 
+    @pytest.mark.parametrize(
+        "flags", [[], ["--telemetry-port", "0"]], ids=["no-endpoint", "port"]
+    )
+    def test_detect_stream_feeds_row_on_every_push(
+        self, workspace, capsys, flags
+    ):
+        """Without --telemetry-snapshot the command still feeds its row:
+        one chunk per push, finished once the engine finalized."""
+        from repro import obs
+        from repro.io import load_signal
+        from repro.obs import telemetry
+
+        signal = workspace / "malicious" / "ACC.npz"
+        observed = load_signal(signal)
+        hop = int(round(0.2 * observed.sample_rate))
+        was_enabled = obs.enabled()
+        obs.disable()
+        try:
+            code = main(
+                ["detect", "--stream", "--chunk-s", "0.2", *flags,
+                 "--stream-id", "printer-B",
+                 str(workspace / "model"), str(signal)]
+            )
+            row = telemetry.streams().get("printer-B").snapshot()
+        finally:
+            telemetry.stop()
+            telemetry.reset_streams()
+            obs.reset()
+            if was_enabled:
+                obs.enable()
+            else:
+                obs.disable()
+        assert code == 1
+        capsys.readouterr()
+        assert row["chunks"] == -(-observed.n_samples // hop)
+        assert row["samples"] == observed.n_samples
+        assert row["state"] == "finished"
+        assert row["intrusion"] is True
+        assert row["alerts"] > 0
+
     def test_events_out_writes_valid_schema_v1(self, workspace, tmp_path):
         from repro.obs import events as events_module
 
