@@ -6,10 +6,14 @@ ones whose constants decide whether the IDS runs in real time, so a
 regression in any of them matters.
 
 Rough expectations on commodity hardware:
-* correlation_profile: sub-millisecond for a 4 s ACC window;
+* correlation_profile: sub-millisecond for a 4 s ACC window, and for one
+  402-channel AUD spectrogram window at RM3's and UM3's Table IV shapes;
 * one full DWM synchronization of an 80 s raw ACC pair: tens of ms;
 * STFT of the same signal: a few ms.
 """
+
+import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from repro.signals import Signal, SpectrogramConfig, spectrogram
 from repro.slicer import SlicerConfig, gear_outline
 from repro.sync import DwmSynchronizer, UM3_DWM_PARAMS, fastdtw_path, tdeb
 from repro.sync.tde import correlation_profile
+
+tde_module = importlib.import_module("repro.sync.tde")
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,32 @@ def test_kernel_correlation_profile(benchmark, acc_like_pair):
     result = benchmark(correlation_profile, segment, window)
     assert result.shape == (1601,)
     assert result.max() > 0.9
+
+
+def _loop_cross(x2, y2, n_shifts):
+    """The per-channel ``np.correlate`` loop the batched kernel replaces."""
+    cross = np.empty((n_shifts, x2.shape[1]))
+    for c in range(x2.shape[1]):
+        cross[:, c] = np.correlate(x2[:, c], y2[:, c], mode="valid")
+    return cross
+
+
+@pytest.mark.parametrize(
+    "n_shifts,n_win", [(3, 10), (41, 40)], ids=["RM3", "UM3"]
+)
+def test_kernel_correlation_profile_aud_spectro(benchmark, n_shifts, n_win):
+    """One DWM window of an AUD Spectro. stream (2 mics x 201 bins) at the
+    scaled 10 frames/s: RM3 searches 3 shifts of a 10-frame window, UM3
+    41 shifts of a 40-frame one.  Must equal the per-channel loop."""
+    rng = np.random.default_rng(2)
+    power = rng.lognormal(size=(n_win + n_shifts + 20, 402))
+    segment = power[10 : 10 + n_win + n_shifts - 1]  # a reference row slice
+    window = power[12 : 12 + n_win] * rng.lognormal(0.0, 0.1, (n_win, 402))
+    result = benchmark(correlation_profile, segment, window)
+    with mock.patch.object(tde_module, "_direct_cross", _loop_cross):
+        oracle = correlation_profile(segment, window)
+    assert result.shape == (n_shifts,)
+    assert np.array_equal(result, oracle)
 
 
 def test_kernel_tdeb(benchmark, acc_like_pair):

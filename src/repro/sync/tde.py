@@ -58,20 +58,68 @@ def _as_2d(a: np.ndarray) -> np.ndarray:
 
 
 #: Crossover (in multiply-adds, ``n_shifts * n_y * n_channels``) between
-#: the direct ``np.correlate`` cross-correlation and scipy's fftconvolve.
-#: Below this, the O(n*m) direct product beats the FFT because scipy's
-#: per-call dispatch/padding overhead (~0.5 ms) dwarfs the arithmetic —
-#: and DWM's streaming search windows sit far below it at DAQ sample
-#: rates.  Above it, the O(n log n) FFT wins as before.
+#: the direct cross-correlation and scipy's fftconvolve.  Below this, the
+#: O(n*m) direct product beats the FFT because scipy's per-call
+#: dispatch/padding overhead (~0.5 ms) dwarfs the arithmetic — and DWM's
+#: streaming search windows sit far below it at DAQ sample rates.  Above
+#: it, the O(n log n) FFT wins as before.  The direct branch is always
+#: bit-identical to a per-channel ``np.correlate(..., "valid")`` loop; see
+#: :func:`_direct_cross` for how it batches many channels.
 _DIRECT_CROSS_MAX_OPS = 2_000_000
+
+#: Below this many channels the per-channel ``np.correlate`` loop is
+#: cheaper than the batched setup (one-channel fleet streams, 6-axis ACC).
+_BATCH_CROSS_MIN_CHANNELS = 16
+
+#: Longest template numpy's ``correlate`` handles with its small-kernel
+#: loop; longer ones go to BLAS ``ddot``.
+_SMALL_KERNEL_MAX_LEN = 11
+
+
+def _direct_cross(x2: np.ndarray, y2: np.ndarray, n_shifts: int) -> np.ndarray:
+    """``cross[n, c] = sum_j x2[n + j, c] * y2[j, c]`` as a C-ordered array.
+
+    Bit-identical to ``np.correlate(x2[:, c], y2[:, c], "valid")`` per
+    channel, because each branch repeats numpy's own arithmetic:
+
+    * up to 11 taps numpy sums ``0 + x[n]*y[0] + x[n+1]*y[1] + ...`` in tap
+      order, so one multiply-add per tap over all (shift, channel) pairs
+      does the same;
+    * beyond that numpy calls ``ddot`` once per shift on contiguous copies,
+      which ``np.vecdot`` over a unit-stride window view of the transposed
+      signal reaches too (a strided ``ddot`` is a different kernel).
+
+    ``cross`` stays C-ordered so the channel mean later sums in the same
+    order.
+    """
+    n_y, n_ch = y2.shape
+    if n_ch < _BATCH_CROSS_MIN_CHANNELS:
+        cross = np.empty((n_shifts, n_ch))
+        for c in range(n_ch):
+            cross[:, c] = np.correlate(x2[:, c], y2[:, c], mode="valid")
+    elif n_y <= _SMALL_KERNEL_MAX_LEN:
+        cross = np.zeros((n_shifts, n_ch))
+        term = np.empty_like(cross)
+        for j in range(n_y):
+            np.multiply(x2[j : j + n_shifts], y2[j], out=term)
+            cross += term
+    else:
+        cross = np.empty((n_shifts, n_ch))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.ascontiguousarray(x2.T), n_y, axis=1
+        )
+        np.vecdot(
+            windows, np.ascontiguousarray(y2.T)[:, np.newaxis, :], out=cross.T
+        )
+    return cross
 
 
 def correlation_profile(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Vectorized sliding correlation coefficient, channel-averaged.
 
     Computes ``s[n] = corr(x[n : n + N_y], y)`` for every admissible shift
-    using running sums and a cross-correlation — direct ``np.correlate``
-    for small problems, FFT for large ones (see
+    using running sums and a cross-correlation — direct for small
+    problems, FFT for large ones (see
     :data:`_DIRECT_CROSS_MAX_OPS`) — instead of recomputing Eq. (3) per
     shift.  This is what makes DWM run orders of magnitude faster than DTW
     in practice.
@@ -84,9 +132,7 @@ def correlation_profile(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # Cross terms for every channel at once: correlation along the time
     # axis is convolution with the time-reversed template.
     if n_shifts * n_y * n_ch <= _DIRECT_CROSS_MAX_OPS:
-        cross = np.empty((n_shifts, n_ch))
-        for c in range(n_ch):
-            cross[:, c] = np.correlate(x2[:, c], y2[:, c], mode="valid")
+        cross = _direct_cross(x2, y2, n_shifts)
     else:
         fftconvolve = _get_fftconvolve()
         cross = fftconvolve(x2, y2[::-1, :], mode="valid", axes=0)  # (shifts, C)

@@ -1,5 +1,8 @@
 """Unit tests for Dynamic Window Matching (batch and streaming)."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from repro.sync import (
     StreamingDwm,
     UM3_DWM_PARAMS,
 )
+
+from .test_tde import oracle_correlation_profile
 
 
 def chirpy_signal(n=4000, fs=100.0, seed=0):
@@ -257,3 +262,59 @@ class TestFastPathDifferential:
         assert np.array_equal(
             generic.result().h_disp, fast.result().h_disp
         )
+
+
+class TestSpectrogramKernelDifferential:
+    """402-channel AUD spectrogram streams against the per-channel oracle.
+
+    At the scaled spectrogram frame rate (10 frames/s) RM3's Table IV
+    window is 3 shifts x 10 frames and UM3's is 41 shifts x 40 frames, so
+    the two cells cover both batched branches of the direct cross term.
+    A cursor fed the same uneven chunks with ``correlation_profile``
+    swapped for the loop oracle must serialize to the same state.
+    """
+
+    FRAME_RATE = 10.0
+    CHUNKS = (1, 7, 33, 2, 100, 13)
+
+    @classmethod
+    def _spectrogram_pair(cls, n_frames=900, n_channels=402, seed=0):
+        rng = np.random.default_rng(seed)
+        # Smooth, non-negative, heavy-tailed power over time, as STFT
+        # magnitudes are, with a few dead (constant) bins.
+        power = rng.lognormal(sigma=1.0, size=(n_frames + 40, n_channels))
+        kernel = np.exp(-np.arange(6) / 2.0)
+        power = np.apply_along_axis(np.convolve, 0, power, kernel, "same")
+        power[:, ::97] = 0.0
+        rate = cls.FRAME_RATE
+        # The observed run lags by a drifting few frames, plus noise.
+        lag = np.round(3 + 4 * np.sin(np.arange(n_frames) / 120.0))
+        observed = power[np.arange(n_frames) + lag.astype(int)]
+        observed = observed * rng.lognormal(sigma=0.1, size=observed.shape)
+        return Signal(observed, rate), Signal(power[:n_frames], rate)
+
+    def _push(self, cursor, observed):
+        start, k = 0, 0
+        while start < observed.n_samples:
+            size = self.CHUNKS[k % len(self.CHUNKS)]
+            cursor.push(observed.data[start : start + size])
+            start, k = start + size, k + 1
+        return cursor.state_dict()
+
+    @pytest.mark.parametrize(
+        "params", [RM3_DWM_PARAMS, UM3_DWM_PARAMS], ids=["RM3", "UM3"]
+    )
+    def test_state_matches_loop_oracle(self, params):
+        observed, ref = self._spectrogram_pair()
+        batched = self._push(
+            StreamingDwm(ref, params, use_fast=True), observed
+        )
+        dwm_module = importlib.import_module("repro.sync.dwm")
+        with mock.patch.object(
+            dwm_module, "correlation_profile", oracle_correlation_profile
+        ):
+            oracle = self._push(
+                StreamingDwm(ref, params, use_fast=True), observed
+            )
+        assert len(batched["h_disp"]) > 20
+        assert batched == oracle

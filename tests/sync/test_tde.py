@@ -1,5 +1,8 @@
 """Unit + property tests for Time Delay Estimation (plain and biased)."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,9 @@ from hypothesis import strategies as st
 from repro.signals.metrics import correlation_similarity, cosine_similarity
 from repro.sync import similarity_profile, tde, tdeb
 from repro.sync.tde import correlation_profile
+
+# ``repro.sync.tde`` the module: the package attribute is the function.
+tde_module = importlib.import_module("repro.sync.tde")
 
 
 def embedded_template(delay=30, n_x=200, n_y=40, channels=1, noise=0.0, seed=0):
@@ -147,3 +153,81 @@ class TestTdeb:
         y = x[100:160].copy()
         result = tdeb(x, y, sigma=15.0, centre=100)
         assert result.score > 0.9
+
+
+def loop_cross(x2, y2, n_shifts):
+    """The per-channel ``np.correlate`` loop the batched kernel replaces."""
+    cross = np.empty((n_shifts, x2.shape[1]))
+    for c in range(x2.shape[1]):
+        cross[:, c] = np.correlate(x2[:, c], y2[:, c], mode="valid")
+    return cross
+
+
+def oracle_correlation_profile(x, y):
+    """``correlation_profile`` with its cross term from :func:`loop_cross`."""
+    with mock.patch.object(tde_module, "_direct_cross", loop_cross):
+        return correlation_profile(x, y)
+
+
+@st.composite
+def direct_branch_inputs(draw):
+    """(x, y) pairs on the direct branch, in every memory layout DWM makes.
+
+    Template lengths straddle numpy's 11/12-tap small-kernel switch and
+    channel counts straddle the 16-channel batching threshold.
+    """
+    n_y = draw(st.integers(1, 16))
+    n_shifts = draw(st.integers(1, 12))
+    n_ch = draw(st.sampled_from([1, 6, 15, 16, 17, 402]))
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n_x = n_shifts + n_y - 1
+    if layout == "slice":
+        # A row slice of a longer reference, as ``b.data[start:stop]``.
+        x = rng.standard_normal((n_x + 9, n_ch))[4 : 4 + n_x]
+    else:
+        x = rng.standard_normal((n_x, n_ch))
+        if layout == "F":
+            x = np.asfortranarray(x)
+    y = rng.standard_normal((n_y, n_ch))
+    if layout == "F":
+        y = np.asfortranarray(y)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, n_ch - 1))] = 2.5  # a constant channel
+    return x, y
+
+
+class TestDirectCrossOracle:
+    """The batched direct cross term against the per-channel loop.
+
+    Equality is exact: a future numpy that changes how ``np.correlate``
+    sums (its small-kernel rule, or BLAS dispatch) fails here first.
+    """
+
+    @given(direct_branch_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_bit_identical(self, xy):
+        x, y = xy
+        n_shifts = x.shape[0] - y.shape[0] + 1
+        cross = tde_module._direct_cross(x, y, n_shifts)
+        assert np.array_equal(cross, loop_cross(x, y, n_shifts))
+        assert cross.flags.c_contiguous
+
+    @given(direct_branch_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_profile_bit_identical(self, xy):
+        x, y = xy
+        assert np.array_equal(
+            correlation_profile(x, y), oracle_correlation_profile(x, y)
+        )
+
+    @pytest.mark.parametrize("n_y", [11, 12])
+    def test_signed_zero_products_match(self, n_y):
+        """A zero template against a negative signal: numpy's sums start
+        from +0.0, so no -0.0 may leak out of either batched branch."""
+        x = -np.ones((n_y + 4, 402))
+        y = np.zeros((n_y, 402))
+        cross = tde_module._direct_cross(x, y, 5)
+        assert not np.signbit(cross).any()
+        assert not np.signbit(loop_cross(x, y, 5)).any()
