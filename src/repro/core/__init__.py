@@ -20,7 +20,6 @@ from .health import (
     ChannelHealth,
     Sanitized,
     SanitizePolicy,
-    constant_runs,
     sanitize_signal,
 )
 from .occ import OneClassTrainer, occ_threshold
@@ -44,7 +43,6 @@ __all__ = [
     "ChannelHealth",
     "Sanitized",
     "SanitizePolicy",
-    "constant_runs",
     "sanitize_signal",
     "OneClassTrainer",
     "occ_threshold",

@@ -6,11 +6,11 @@ signal chunk by chunk and runs an explicit four-stage pipeline over every
 chunk::
 
         chunk ──> sanitize ──> synchronize ──> compare ──> discriminate
-                  (health)      (SyncCursor)   (v_dist)    (alerts)
+                 (Sanitizer)   (SyncCursor)    (v_dist)    (EvidenceAccumulator)
 
 * **sanitize** — repair non-finite samples (forward fill with cross-chunk
   seeds), track dark-channel runs on the raw data, and arm the fail-closed
-  SENSOR_FAULT verdict (:mod:`repro.core.health` semantics).
+  SENSOR_FAULT verdict (:class:`~repro.core.health.Sanitizer`).
 * **synchronize** — feed the clean samples to a
   :class:`~repro.sync.base.SyncCursor`.  DWM streams natively; batch
   synchronizers (DTW/FastDTW) ride behind
@@ -30,11 +30,15 @@ armed with DWM, fed chunks as the DAQ delivers them — batch/streaming
 parity is structural, not test-enforced, because there is only one code
 path.
 
-All cross-chunk carry lives in :class:`DetectorState` (schema-versioned,
-JSON-safe via ``to_dict``/``from_dict``), which is what makes
-checkpoint/resume and multi-job serving possible: serialize mid-print,
-restore into a fresh engine, and the remainder of the run is bit-identical
-to an uninterrupted one.
+Each stage object owns its cross-chunk carry and the matching section of
+:class:`DetectorState` (schema-versioned, JSON-safe via
+``to_dict``/``from_dict``): ``sanitize`` is the sanitizer's, ``sync`` the
+cursor's, ``evidence``/``alerts``/``fired`` the evidence accumulator's; the
+engine itself writes ``config`` and ``progress`` (the buffered clean tail
+the compare stage reads).  That snapshot is what makes checkpoint/resume
+and multi-job serving possible: serialize mid-print, restore into a fresh
+engine, and the remainder of the run is bit-identical to an uninterrupted
+one.
 
 This module is also the only emitter of the detection provenance events
 (``window_evidence``, ``window_quarantined``, ``window_truncated``,
@@ -46,8 +50,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -63,13 +69,14 @@ from .discriminator import (
     Discriminator,
     Thresholds,
 )
-from .health import SENSOR_FAULT, ChannelHealth, SanitizePolicy
+from .health import SENSOR_FAULT, ChannelHealth, SanitizePolicy, Sanitizer
 
 __all__ = [
     "Alert",
     "DetectionEngine",
     "DetectorState",
     "EngineResult",
+    "EvidenceAccumulator",
     "STATE_SCHEMA",
     "STATE_VERSION",
     "TRUNCATED_WINDOW_DISTANCE",
@@ -133,58 +140,144 @@ class Alert:
         )
 
 
-def _encode_optional_floats(row: np.ndarray) -> List[Optional[float]]:
-    """Per-entry float list with ``None`` standing in for NaN/inf.
-
-    Strict JSON has no NaN literal; the only non-finite carry in the
-    engine is the raw previous sample (used for dark-run continuation,
-    where any non-finite value behaves identically), so the encoding is
-    lossless for detection behaviour.
-    """
-    return [float(v) if math.isfinite(float(v)) else None for v in row]
-
-
-def _decode_optional_floats(values: Sequence[Optional[float]]) -> np.ndarray:
-    """Inverse of :func:`_encode_optional_floats` (``None`` becomes NaN)."""
-    return np.asarray(
-        [float("nan") if v is None else float(v) for v in values],
-        dtype=np.float64,
+def _emit_alarm(alert: Alert) -> None:
+    """The one ``alarm`` emission site (sub-module, duration, fault)."""
+    events.log().emit(
+        "alarm",
+        window=int(alert.window_index),
+        submodule=alert.submodule,
+        value=float(alert.value),
+        threshold=float(alert.threshold),
+        time_s=float(alert.time_s),
     )
 
 
-#: Sections a serialized ``DetectorState`` must carry, with the expected
-#: container type (``from_dict`` validates before indexing anything).
-_STATE_SECTIONS: Tuple[Tuple[str, type], ...] = (
-    ("config", dict),
-    ("progress", dict),
-    ("sanitize", dict),
-    ("sync", dict),
-    ("evidence", dict),
-    ("alerts", list),
-    ("fired", list),
-)
+class EvidenceAccumulator:
+    """The discriminate stage's carry: per-index evidence and alert state.
 
-#: Required keys per dict-valued section — exactly the fields
-#: :meth:`DetectionEngine.restore` indexes, so a checkpoint that passes
-#: validation cannot die with a ``KeyError`` halfway through a restore.
-#: (``sync`` is opaque: its layout belongs to the synchronizer cursor.)
-_STATE_REQUIRED_KEYS: Dict[str, Tuple[str, ...]] = {
-    "config": ("n_channels", "sample_rate", "filter_window"),
-    "progress": ("samples_seen", "buf_start", "buffer", "bad"),
-    "sanitize": (
-        "last_good", "have_good", "prev_raw", "n_nonfinite", "run_start",
-        "longest_dark", "dark_spans", "fault_fired", "fault_reasons",
-        "fault_window",
-    ),
-    "evidence": (
+    Holds incremental CADHD (Eq. 17), the five per-index histories
+    (CADHD curve, raw and trailing-min filtered horizontal and vertical
+    distances, Eq. 19-22), the quarantined indexes, the alerts raised so
+    far, and the sub-modules that already fired (each raises at most one
+    alert, at its first offending index).
+
+    Owns the ``evidence``, ``alerts`` and ``fired`` sections of a
+    :class:`DetectorState` (:attr:`KEYS`, :meth:`state_dict`,
+    :meth:`load_state_dict`).
+    """
+
+    #: Fields of the ``evidence`` state section, in write order.
+    KEYS: Tuple[str, ...] = (
         "prev_disp", "c_disp", "c_hist", "h_hist", "v_hist", "h_f", "v_f",
         "quarantined",
-    ),
-}
+    )
 
-#: Required keys of each serialized alert (what ``Alert.from_dict`` reads).
-_ALERT_REQUIRED_KEYS: Tuple[str, ...] = (
-    "window_index", "submodule", "value", "threshold", "time_s",
+    def __init__(
+        self, thresholds: Optional[Thresholds], filter_window: int
+    ) -> None:
+        self.thresholds = thresholds
+        self.filter_window = filter_window
+        self.prev_disp = 0.0
+        self.c_disp = 0.0
+        self.c_hist: List[float] = []
+        self.h_hist: List[float] = []
+        self.v_hist: List[float] = []
+        self.h_f: List[float] = []
+        self.v_f: List[float] = []
+        self.quarantined: List[int] = []
+        self.alerts: List[Alert] = []
+        self.fired: Set[str] = set()
+
+    def add(
+        self, i: int, disp: float, v: float, time_s: float, sink: List[Alert]
+    ) -> None:
+        """Fold index ``i`` (displacement ``disp``, vertical distance ``v``)
+        into the evidence and raise the sub-modules it crosses first."""
+        self.c_disp += abs(disp - self.prev_disp)
+        self.prev_disp = disp
+        self.c_hist.append(self.c_disp)
+        self.h_hist.append(abs(disp))
+        h_f = min(self.h_hist[-self.filter_window:])
+        self.h_f.append(h_f)
+        self.v_hist.append(v)
+        v_f = min(self.v_hist[-self.filter_window:])
+        self.v_f.append(v_f)
+        if events.enabled():
+            events.log().emit(
+                "window_evidence",
+                window=i,
+                h_disp=float(disp),
+                c_disp=float(self.c_disp),
+                h_dist_f=float(h_f),
+                v_dist_f=float(v_f),
+            )
+        t = self.thresholds
+        if t is None:
+            return
+        for submodule, value, threshold in (
+            ("c_disp", self.c_disp, t.c_c),
+            ("h_dist", h_f, t.h_c),
+            ("v_dist", v_f, t.v_c),
+        ):
+            if submodule not in self.fired and value > threshold:
+                self.raise_alert(
+                    Alert(i, submodule, value, threshold, time_s), sink
+                )
+
+    def raise_alert(self, alert: Alert, sink: List[Alert]) -> None:
+        """Latch ``alert``'s sub-module, append it to ``sink``, emit it."""
+        self.fired.add(alert.submodule)
+        sink.append(alert)
+        if events.enabled():
+            _emit_alarm(alert)
+
+    def state_dict(self) -> Dict[str, object]:
+        """The ``evidence``, ``alerts`` and ``fired`` state sections."""
+        return {
+            "evidence": {
+                "prev_disp": float(self.prev_disp),
+                "c_disp": float(self.c_disp),
+                "c_hist": [float(v) for v in self.c_hist],
+                "h_hist": [float(v) for v in self.h_hist],
+                "v_hist": [float(v) for v in self.v_hist],
+                "h_f": [float(v) for v in self.h_f],
+                "v_f": [float(v) for v in self.v_f],
+                "quarantined": [int(i) for i in self.quarantined],
+            },
+            "alerts": tuple(a.to_dict() for a in self.alerts),
+            "fired": tuple(sorted(self.fired)),
+        }
+
+    def load_state_dict(self, state: "DetectorState") -> None:
+        """Restore the sections :meth:`state_dict` wrote."""
+        ev: Mapping[str, Any] = state.evidence
+        self.prev_disp = float(ev["prev_disp"])
+        self.c_disp = float(ev["c_disp"])
+        self.c_hist = [float(v) for v in ev["c_hist"]]
+        self.h_hist = [float(v) for v in ev["h_hist"]]
+        self.v_hist = [float(v) for v in ev["v_hist"]]
+        self.h_f = [float(v) for v in ev["h_f"]]
+        self.v_f = [float(v) for v in ev["v_f"]]
+        self.quarantined = [int(i) for i in ev["quarantined"]]
+        self.alerts = [Alert.from_dict(dict(a)) for a in state.alerts]
+        self.fired = set(state.fired)
+
+
+#: Fields of the engine's own ``config`` and ``progress`` sections.
+_CONFIG_KEYS = ("n_channels", "sample_rate", "filter_window")
+_PROGRESS_KEYS = ("samples_seen", "buf_start", "buffer", "bad")
+
+#: Sections a serialized ``DetectorState`` must carry: container type and,
+#: for dict sections, the fields their owner's restore reads.  (``sync`` is
+#: opaque: its layout belongs to the synchronizer cursor.)
+_STATE_SECTIONS: Tuple[Tuple[str, type, Tuple[str, ...]], ...] = (
+    ("config", dict, _CONFIG_KEYS),
+    ("progress", dict, _PROGRESS_KEYS),
+    ("sanitize", dict, Sanitizer.KEYS),
+    ("sync", dict, ()),
+    ("evidence", dict, EvidenceAccumulator.KEYS),
+    ("alerts", list, ()),
+    ("fired", list, ()),
 )
 
 
@@ -195,20 +288,17 @@ def _validate_state_payload(doc: Dict[str, object]) -> None:
     ``ValueError`` naming the missing/ill-typed field rather than
     surfacing an opaque ``KeyError`` from deep inside ``restore``.
     """
-    for section, expected in _STATE_SECTIONS:
+    for section, expected, keys in _STATE_SECTIONS:
         if section not in doc:
             raise ValueError(
                 f"DetectorState payload missing section {section!r}"
             )
-        value = doc[section]
-        if not isinstance(value, expected):
+        body: Any = doc[section]
+        if not isinstance(body, expected):
             raise ValueError(
                 f"DetectorState section {section!r} must be a "
-                f"{expected.__name__}, got {type(value).__name__}"
+                f"{expected.__name__}, got {type(body).__name__}"
             )
-    for section, keys in _STATE_REQUIRED_KEYS.items():
-        body = doc[section]
-        assert isinstance(body, dict)
         for key in keys:
             if key not in body:
                 raise ValueError(
@@ -223,10 +313,10 @@ def _validate_state_payload(doc: Dict[str, object]) -> None:
                 f"DetectorState alert #{k} must be a dict, "
                 f"got {type(alert).__name__}"
             )
-        for key in _ALERT_REQUIRED_KEYS:
-            if key not in alert:
+        for f in fields(Alert):
+            if f.name not in alert:
                 raise ValueError(
-                    f"DetectorState alert #{k} missing field {key!r}"
+                    f"DetectorState alert #{k} missing field {f.name!r}"
                 )
 
 
@@ -234,20 +324,22 @@ def _validate_state_payload(doc: Dict[str, object]) -> None:
 class DetectorState:
     """Serializable snapshot of every piece of cross-chunk carry.
 
-    Grouped by pipeline stage:
+    Grouped by pipeline stage, each section written and read by its owner:
 
     - ``config`` — shape echo (``n_channels``, ``sample_rate``,
       ``filter_window``) validated on :meth:`DetectionEngine.restore` so a
       checkpoint cannot silently resume against a different setup.
-    - ``progress`` — ``samples_seen``, ``buf_start``, plus the buffered
-      clean-sample tail (``buffer``) and its per-row repair mask (``bad``).
-    - ``sanitize`` — forward-fill seeds, dark-run bookkeeping, and the
-      fail-closed sensor-fault state.
+    - ``progress`` — ``samples_seen``, ``buf_start``, plus the engine's
+      buffered clean-sample tail (``buffer``) and its per-row repair mask
+      (``bad``).
+    - ``sanitize`` — the :class:`~repro.core.health.Sanitizer`'s
+      forward-fill seeds, dark-run bookkeeping, and fail-closed
+      sensor-fault state.
     - ``sync`` — the :meth:`~repro.sync.base.SyncCursor.state_dict` of the
       synchronizer cursor (DWM history or a batch adapter's buffer).
-    - ``evidence`` — the per-index evidence tail (CADHD, raw/filtered
-      distances, quarantined indexes).
-    - ``alerts`` / ``fired`` — alert state, so a restored run neither
+    - ``evidence`` — the :class:`EvidenceAccumulator`'s per-index evidence
+      tail (CADHD, raw/filtered distances, quarantined indexes).
+    - ``alerts`` / ``fired`` — its alert state, so a restored run neither
       re-raises nor forgets an alarm.
 
     ``to_dict``/``from_dict`` round-trip through strict JSON bit-exactly
@@ -340,6 +432,11 @@ def _finite(value: float) -> Optional[float]:
 class DetectionEngine:
     """Chunk-incremental NSYNC core shared by the batch and streaming IDS.
 
+    Composes the stage objects — :class:`~repro.core.health.Sanitizer`,
+    the synchronizer's :class:`~repro.sync.base.SyncCursor` and
+    :class:`EvidenceAccumulator` — around the buffered tail of clean
+    samples the compare stage reads, and runs them in order.
+
     Parameters
     ----------
     reference:
@@ -388,47 +485,15 @@ class DetectionEngine:
         n_ch = reference.n_channels
         self._rate = float(reference.sample_rate)
         self._n_channels = int(n_ch)
-        self._min_dark = self.policy.min_dark_samples(self._rate)
-        # --- progress / buffered tail ---
         # Preallocated tail buffers (amortized O(chunk) appends, logical
-        # prefix trims) shared by the sanitize and compare stages; both
-        # address samples by absolute stream index.
-        self._samples_seen = 0
+        # prefix trims) of clean samples and their per-row repair mask,
+        # read by the compare stage and the quarantine check; both address
+        # samples by absolute stream index.
         self._ring = SampleRing(n_ch)
         self._bad_ring = SampleRing(None, dtype=bool)
         self._finalized = False
-        # --- sanitize carry (see repro.core.health) ---
-        self._last_good = np.zeros(n_ch)
-        self._have_good = np.zeros(n_ch, dtype=bool)
-        self._prev_raw: Optional[np.ndarray] = None
-        # True when the carried previous raw row has a non-finite entry;
-        # lets the dark-run tracker skip the errstate-guarded path on the
-        # (overwhelmingly common) all-finite chunks.
-        self._prev_raw_bad = False
-        self._n_nonfinite = 0
-        self._run_start = np.zeros(n_ch, dtype=np.int64)
-        # Scalar lower bound of _run_start (= the oldest open run): lets
-        # the per-push fast path decide "no channel can close a dark span
-        # here" with one int compare instead of a numpy reduction.
-        self._run_start_min = 0
-        self._longest_dark = 0
-        self._dark_spans: List[Tuple[int, int]] = []
-        self._fault_fired = False
-        self._fault_reasons: List[str] = []
-        self._fault_window: Optional[int] = None
-        self._pending_fault: Optional[Tuple[int, int]] = None
-        # --- evidence carry ---
-        self._prev_disp = 0.0
-        self._c_disp = 0.0
-        self._c_hist: List[float] = []
-        self._h_hist: List[float] = []
-        self._v_hist: List[float] = []
-        self._h_f: List[float] = []
-        self._v_f: List[float] = []
-        self._quarantined: List[int] = []
-        # --- alert state ---
-        self._alerts: List[Alert] = []
-        self._fired: Set[str] = set()
+        self._sanitizer = Sanitizer(n_ch, self._rate, self.policy)
+        self._evidence = EvidenceAccumulator(thresholds, filter_window)
 
     # ------------------------------------------------------------------
     # Public surface
@@ -441,17 +506,17 @@ class DetectionEngine:
     @property
     def alerts(self) -> List[Alert]:
         """All alerts raised so far (chronological)."""
-        return list(self._alerts)
+        return list(self._evidence.alerts)
 
     @property
     def intrusion_detected(self) -> bool:
         """True once any sub-module (or the sensor-fault rule) fired."""
-        return bool(self._alerts)
+        return bool(self._evidence.alerts)
 
     @property
     def n_indexes(self) -> int:
         """Number of synchronized indexes evaluated so far."""
-        return len(self._c_hist)
+        return len(self._evidence.c_hist)
 
     @property
     def samples_seen(self) -> int:
@@ -461,17 +526,17 @@ class DetectionEngine:
         client that re-feeds the stream from exactly this sample after a
         :meth:`restore` reproduces the uninterrupted run bit-identically.
         """
-        return self._samples_seen
+        return self._sanitizer.n_samples
 
     @property
     def n_quarantined(self) -> int:
         """Number of indexes whose input samples had to be repaired."""
-        return len(self._quarantined)
+        return len(self._evidence.quarantined)
 
     @property
     def sensor_fault_fired(self) -> bool:
         """True once the fail-closed SENSOR_FAULT verdict fired."""
-        return self._fault_fired
+        return self._sanitizer.fault_fired
 
     def push(self, samples: np.ndarray) -> List[Alert]:
         """Feed observed samples; return alerts raised by this chunk.
@@ -498,10 +563,9 @@ class DetectionEngine:
             # at DAQ chunk sizes those null shims alone cost measurable
             # throughput (asserted < 3% overhead by
             # benchmarks/bench_engine_throughput.py).
-            clean, bad_rows = self._stage_sanitize(samples)
+            clean, bad_rows = self._sanitizer.push(samples)
             self._ring.append(clean)
             self._bad_ring.append(bad_rows)
-            self._samples_seen += samples.shape[0]
             emitted = self._cursor.push(clean)
             new_alerts = self._ingest(emitted, v_pre=None)
             self._trim()
@@ -509,10 +573,9 @@ class DetectionEngine:
         t0 = time.perf_counter()
         with obs.trace("repro.core.engine.push"):
             with obs.trace("sanitize"):
-                clean, bad_rows = self._stage_sanitize(samples)
+                clean, bad_rows = self._sanitizer.push(samples)
             self._ring.append(clean)
             self._bad_ring.append(bad_rows)
-            self._samples_seen += samples.shape[0]
             with obs.trace("synchronize"):
                 emitted = self._cursor.push(clean)
             new_alerts = self._ingest(emitted, v_pre=None)
@@ -532,6 +595,7 @@ class DetectionEngine:
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
         self._finalized = True
+        ev = self._evidence
         with obs.trace("repro.core.engine.finalize"):
             emitted = self._cursor.finalize()
             sync = self._cursor.result()
@@ -543,33 +607,35 @@ class DetectionEngine:
                         observed, self.reference, sync
                     )
             self._ingest(emitted, v_pre=v_pre)
-            self._check_fraction_rule()
-            health = self._final_health()
+            san = self._sanitizer
+            if san.fraction_rule():
+                self._fire_sensor_fault(
+                    ev.alerts, ("nonfinite_fraction",), san.n_samples,
+                    san.longest_dark,
+                )
             features = DetectionFeatures(
-                c_disp=np.asarray(self._c_hist, dtype=np.float64),
-                h_dist_filtered=np.asarray(self._h_f, dtype=np.float64),
-                v_dist_filtered=np.asarray(self._v_f, dtype=np.float64),
+                c_disp=np.asarray(ev.c_hist, dtype=np.float64),
+                h_dist_filtered=np.asarray(ev.h_f, dtype=np.float64),
+                v_dist_filtered=np.asarray(ev.v_f, dtype=np.float64),
                 duration_mismatch=self._duration_mismatch(sync),
             )
             v_dist = (
                 v_pre
                 if v_pre is not None
-                else np.asarray(self._v_hist, dtype=np.float64)
+                else np.asarray(ev.v_hist, dtype=np.float64)
             )
             detection: Optional[Detection] = None
             if self.thresholds is not None:
                 with obs.trace("discriminate"):
-                    detection = self._stage_discriminate_run(
-                        features, sync, health
-                    )
+                    detection = self._stage_discriminate_run(features, sync)
         return EngineResult(
             sync=sync,
             v_dist=v_dist,
             features=features,
-            health=health,
-            quarantined_windows=tuple(self._quarantined),
+            health=san.health(),
+            quarantined_windows=tuple(ev.quarantined),
             detection=detection,
-            alerts=tuple(self._alerts),
+            alerts=tuple(ev.alerts),
         )
 
     def evidence(self) -> Dict[str, object]:
@@ -586,38 +652,37 @@ class DetectionEngine:
           filtered distances, equal to the
           :class:`~repro.core.discriminator.DetectionFeatures` arrays.
         """
+        ev = self._evidence
         return {
             "h_disp": self._cursor.result().h_disp,
-            "c_disp": self._c_disp,
-            "c_disp_curve": np.asarray(self._c_hist, dtype=np.float64),
-            "h_dist_filtered": np.asarray(self._h_f, dtype=np.float64),
-            "v_dist_filtered": np.asarray(self._v_f, dtype=np.float64),
+            "c_disp": ev.c_disp,
+            "c_disp_curve": np.asarray(ev.c_hist, dtype=np.float64),
+            "h_dist_filtered": np.asarray(ev.h_f, dtype=np.float64),
+            "v_dist_filtered": np.asarray(ev.v_f, dtype=np.float64),
         }
 
     def health_dict(self) -> Dict[str, object]:
         """JSON-safe channel-health snapshot of the run so far.
 
-        Mirrors ``ChannelHealth.to_dict()`` plus the quarantined-index
-        list; usable mid-stream and identical to the final
-        ``Detection.health`` payload once the run is finalized.
+        ``ChannelHealth.to_dict()`` plus the quarantined-index list;
+        usable mid-stream, and the final ``Detection.health`` payload once
+        the run is finalized.
         """
-        total = self._samples_seen
         return {
-            "n_samples": int(total),
-            "n_nonfinite": int(self._n_nonfinite),
-            "bad_fraction": (
-                float(self._n_nonfinite / total) if total else 0.0
-            ),
-            "dark_spans": [[int(a), int(b)] for a, b in self._current_spans()],
-            "longest_dark_s": float(self._longest_dark / self._rate),
-            "sensor_fault": bool(self._fault_fired),
-            "reasons": list(self._fault_reasons),
-            "quarantined_windows": list(self._quarantined),
+            **self._sanitizer.health().to_dict(),
+            "quarantined_windows": list(self._evidence.quarantined),
         }
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
     # ------------------------------------------------------------------
+    def _config(self) -> Dict[str, object]:
+        return {
+            "n_channels": self._n_channels,
+            "sample_rate": self._rate,
+            "filter_window": self.filter_window,
+        }
+
     def state(self) -> DetectorState:
         """Snapshot every piece of cross-chunk carry as a
         :class:`DetectorState`.
@@ -628,50 +693,19 @@ class DetectionEngine:
         """
         if self._finalized:
             raise RuntimeError("cannot snapshot a finalized engine")
-        prev_raw = (
-            None
-            if self._prev_raw is None
-            else _encode_optional_floats(self._prev_raw)
-        )
         return DetectorState(
-            config={
-                "n_channels": self._n_channels,
-                "sample_rate": self._rate,
-                "filter_window": self.filter_window,
-            },
+            config=self._config(),
             progress={
                 # One C-level tolist() per array (not per-element Python
                 # loops): checkpointing happens mid-stream, on the clock.
-                "samples_seen": int(self._samples_seen),
+                "samples_seen": int(self.samples_seen),
                 "buf_start": int(self._ring.start),
                 "buffer": self._ring.tail().tolist(),
                 "bad": self._bad_ring.tail().tolist(),
             },
-            sanitize={
-                "last_good": [float(v) for v in self._last_good],
-                "have_good": [bool(b) for b in self._have_good],
-                "prev_raw": prev_raw,
-                "n_nonfinite": int(self._n_nonfinite),
-                "run_start": [int(v) for v in self._run_start],
-                "longest_dark": int(self._longest_dark),
-                "dark_spans": [[int(a), int(b)] for a, b in self._dark_spans],
-                "fault_fired": bool(self._fault_fired),
-                "fault_reasons": list(self._fault_reasons),
-                "fault_window": self._fault_window,
-            },
+            sanitize=self._sanitizer.state_dict(),
             sync=self._cursor.state_dict(),
-            evidence={
-                "prev_disp": float(self._prev_disp),
-                "c_disp": float(self._c_disp),
-                "c_hist": [float(v) for v in self._c_hist],
-                "h_hist": [float(v) for v in self._h_hist],
-                "v_hist": [float(v) for v in self._v_hist],
-                "h_f": [float(v) for v in self._h_f],
-                "v_f": [float(v) for v in self._v_f],
-                "quarantined": [int(i) for i in self._quarantined],
-            },
-            alerts=tuple(a.to_dict() for a in self._alerts),
-            fired=tuple(sorted(self._fired)),
+            **self._evidence.state_dict(),  # type: ignore[arg-type]
         )
 
     def restore(self, state: DetectorState) -> None:
@@ -681,232 +715,26 @@ class DetectionEngine:
         synchronizer type, and parameters; the configuration echo inside
         the state is validated against this engine's.
         """
-        cfg = state.config
-        mine = {
-            "n_channels": self._n_channels,
-            "sample_rate": self._rate,
-            "filter_window": self.filter_window,
-        }
-        for key, want in mine.items():
-            if cfg.get(key) != want:
+        for key, want in self._config().items():
+            if state.config.get(key) != want:
                 raise ValueError(
                     f"checkpoint/config mismatch on {key!r}: "
-                    f"state has {cfg.get(key)!r}, engine has {want!r}"
+                    f"state has {state.config.get(key)!r}, engine has {want!r}"
                 )
-        prog = state.progress
-        self._samples_seen = int(prog["samples_seen"])  # type: ignore[call-overload]
-        buf_start = int(prog["buf_start"])  # type: ignore[call-overload]
+        prog: Mapping[str, Any] = state.progress
+        buf_start = int(prog["buf_start"])
         self._ring.load(
             np.asarray(prog["buffer"], dtype=np.float64), buf_start
         )
         self._bad_ring.load(np.asarray(prog["bad"], dtype=bool), buf_start)
         self._finalized = False
-        san = state.sanitize
-        self._last_good = np.asarray(san["last_good"], dtype=np.float64)
-        self._have_good = np.asarray(san["have_good"], dtype=bool)
-        raw = san["prev_raw"]
-        self._prev_raw = (
-            None if raw is None else _decode_optional_floats(raw)  # type: ignore[arg-type]
-        )
-        self._prev_raw_bad = self._prev_raw is not None and not bool(
-            np.isfinite(self._prev_raw).all()
-        )
-        self._n_nonfinite = int(san["n_nonfinite"])  # type: ignore[call-overload]
-        self._run_start = np.asarray(san["run_start"], dtype=np.int64)
-        self._run_start_min = int(self._run_start.min())
-        self._longest_dark = int(san["longest_dark"])  # type: ignore[call-overload]
-        self._dark_spans = [
-            (int(a), int(b)) for a, b in san["dark_spans"]  # type: ignore[union-attr]
-        ]
-        self._fault_fired = bool(san["fault_fired"])
-        self._fault_reasons = [str(r) for r in san["fault_reasons"]]  # type: ignore[union-attr]
-        fw = san["fault_window"]
-        self._fault_window = None if fw is None else int(fw)  # type: ignore[arg-type]
-        self._pending_fault = None
+        self._sanitizer.load_state_dict(state.sanitize, prog["samples_seen"])
         self._cursor.load_state_dict(dict(state.sync))
-        ev = state.evidence
-        self._prev_disp = float(ev["prev_disp"])  # type: ignore[arg-type]
-        self._c_disp = float(ev["c_disp"])  # type: ignore[arg-type]
-        self._c_hist = [float(v) for v in ev["c_hist"]]  # type: ignore[union-attr]
-        self._h_hist = [float(v) for v in ev["h_hist"]]  # type: ignore[union-attr]
-        self._v_hist = [float(v) for v in ev["v_hist"]]  # type: ignore[union-attr]
-        self._h_f = [float(v) for v in ev["h_f"]]  # type: ignore[union-attr]
-        self._v_f = [float(v) for v in ev["v_f"]]  # type: ignore[union-attr]
-        self._quarantined = [int(i) for i in ev["quarantined"]]  # type: ignore[union-attr]
-        self._alerts = [Alert.from_dict(dict(a)) for a in state.alerts]
-        self._fired = set(state.fired)
+        self._evidence.load_state_dict(state)
 
     # ------------------------------------------------------------------
-    # Stage 1: sanitize
+    # Stages 2-4: synchronize / compare / discriminate per index
     # ------------------------------------------------------------------
-    def _stage_sanitize(
-        self, raw: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Repair one chunk; returns ``(clean, bad_rows)``.
-
-        Mirrors :func:`repro.core.health.sanitize_signal` with all state
-        carried across chunk boundaries: the last finite value per channel
-        seeds the forward fill, and dark runs continue through chunk edges
-        so a disconnect spanning many small chunks is still one long run.
-        """
-        n = raw.shape[0]
-        bad = ~np.isfinite(raw)
-        bad_rows: np.ndarray = bad.any(axis=1)
-        has_bad = bool(bad_rows.any())
-        if has_bad:
-            self._n_nonfinite += int(np.count_nonzero(bad_rows))
-        self._track_dark_runs(raw, bad, has_bad)
-
-        if not has_bad:
-            self._last_good = raw[-1].copy()
-            self._have_good[:] = True
-            return raw, bad_rows
-        # Forward fill, seeded by the last finite value seen in earlier
-        # chunks (0.0 when a channel has been broken since the start).
-        seed = np.where(self._have_good, self._last_good, 0.0)
-        ext = np.concatenate([seed[np.newaxis, :], raw], axis=0)
-        ext_bad = np.concatenate(
-            [np.zeros((1, raw.shape[1]), dtype=bool), bad], axis=0
-        )
-        idx = np.where(~ext_bad, np.arange(n + 1)[:, np.newaxis], 0)
-        np.maximum.accumulate(idx, axis=0, out=idx)
-        clean = np.take_along_axis(ext, idx, axis=0)[1:]
-        self._last_good = clean[-1].copy()
-        self._have_good |= (~bad).any(axis=0)
-        return clean, bad_rows
-
-    def _track_dark_runs(
-        self, raw: np.ndarray, bad: np.ndarray, has_bad: bool
-    ) -> None:
-        """Continue per-channel constant/non-finite runs through this chunk.
-
-        Works on the *raw* data (forward-filling first would turn every
-        NaN burst into a constant run and double-count it), records the
-        closed maximal runs that qualify as dark spans, and — when the
-        policy is armed — pins the exact absolute sample at which a run
-        first reaches the dark limit, so the fail-closed verdict fires at
-        the same sample no matter how the stream was chunked.
-        """
-        n = raw.shape[0]
-        offset = self._samples_seen
-        eps = self.policy.dark_eps
-        if has_bad or self._prev_raw_bad:
-            extend = np.zeros_like(bad)
-            if self._prev_raw is not None:
-                prev_bad = ~np.isfinite(self._prev_raw)
-                with np.errstate(invalid="ignore"):
-                    extend[0] = np.abs(raw[0] - self._prev_raw) <= eps
-                extend[0] |= bad[0] | prev_bad
-            if n > 1:
-                with np.errstate(invalid="ignore"):
-                    extend[1:] = np.abs(np.diff(raw, axis=0)) <= eps
-                extend[1:] |= bad[1:] | bad[:-1]
-        else:
-            # All-finite chunk with an all-finite carry: the non-finite
-            # terms above are identically False and the subtractions
-            # cannot trip the invalid-FP guard, so skip the errstate
-            # context managers and mask work entirely.
-            extend = np.empty_like(bad)
-            if self._prev_raw is not None:
-                extend[0] = np.abs(raw[0] - self._prev_raw) <= eps
-            else:
-                extend[0] = False
-            if n > 1:
-                extend[1:] = np.abs(np.diff(raw, axis=0)) <= eps
-        self._prev_raw_bad = has_bad and bool(bad[-1].any())
-        if not extend.any():
-            # Every run resets at every sample of this chunk: all run
-            # lengths are 1, so at most one span per channel can close
-            # (the carried run ending at this chunk's first sample), no
-            # dark-limit crossing is possible (the limit is >= 2), and
-            # the per-channel boundary scan below collapses to O(C).
-            # This is the steady-state path for healthy, textured input.
-            if offset - self._run_start_min >= self._min_dark:
-                carry0 = offset - self._run_start
-                for c in np.flatnonzero(carry0 >= self._min_dark):
-                    self._dark_spans.append(
-                        (int(self._run_start[c]), int(offset))
-                    )
-            self._run_start[:] = offset + n - 1
-            self._run_start_min = offset + n - 1
-            self._longest_dark = max(self._longest_dark, 1)
-            self._prev_raw = raw[-1].copy()
-            return
-        idx = np.arange(n)[:, np.newaxis]
-        carry = (offset - self._run_start).astype(np.int64)
-        reset = np.where(~extend, idx, -1)
-        np.maximum.accumulate(reset, axis=0, out=reset)
-        run = np.where(reset >= 0, idx - reset + 1, idx + 1 + carry)
-        # Close the maximal runs ending inside this chunk (span bookkeeping
-        # identical to health._run_bounds over the whole signal).
-        for c in range(raw.shape[1]):
-            bnd = np.flatnonzero(~extend[:, c])
-            if not bnd.size:
-                continue
-            starts = np.concatenate(
-                [[int(self._run_start[c])], offset + bnd[:-1]]
-            )
-            ends = offset + bnd
-            for k in np.flatnonzero(ends - starts >= self._min_dark):
-                self._dark_spans.append((int(starts[k]), int(ends[k])))
-            self._run_start[c] = int(offset + bnd[-1])
-        self._run_start_min = int(self._run_start.min())
-        if (
-            self.policy.enabled
-            and not self._fault_fired
-            and self._pending_fault is None
-        ):
-            hit = np.flatnonzero((run >= self._min_dark).any(axis=1))
-            if hit.size:
-                r = int(hit[0])
-                longest_at_t = max(
-                    self._longest_dark, int(run[: r + 1].max())
-                )
-                self._pending_fault = (offset + r + 1, longest_at_t)
-        self._longest_dark = max(self._longest_dark, int(run.max()))
-        self._prev_raw = raw[-1].copy()
-
-    def _current_spans(self) -> Tuple[Tuple[int, int], ...]:
-        """Dark spans so far: closed runs plus qualifying open runs."""
-        spans = list(self._dark_spans)
-        for c in range(self._n_channels):
-            start = int(self._run_start[c])
-            if self._samples_seen - start >= self._min_dark:
-                spans.append((start, self._samples_seen))
-        return tuple(sorted(set(spans)))
-
-    def _final_health(self) -> ChannelHealth:
-        """Freeze the sanitize stage's verdict for the whole run."""
-        n = self._samples_seen
-        return ChannelHealth(
-            n_samples=n,
-            n_nonfinite=self._n_nonfinite,
-            dark_spans=self._current_spans(),
-            longest_dark_s=self._longest_dark / self._rate if n else 0.0,
-            sensor_fault=self._fault_fired,
-            reasons=tuple(self._fault_reasons),
-        )
-
-    def _check_fraction_rule(self) -> None:
-        """End-of-run rule: too many non-finite samples overall.
-
-        Evaluated at finalization (like the batch sanitizer always did) so
-        the verdict depends on run totals, never on chunk boundaries.
-        """
-        total = self._samples_seen
-        if not self.policy.enabled or not total:
-            return
-        if self._n_nonfinite / total <= self.policy.max_bad_fraction:
-            return
-        if not self._fault_fired:
-            sink: List[Alert] = []
-            self._fire_sensor_fault(
-                sink, ("nonfinite_fraction",), total, self._longest_dark
-            )
-            self._alerts.extend(sink)
-        elif "nonfinite_fraction" not in self._fault_reasons:
-            self._fault_reasons.append("nonfinite_fraction")
-
     def _fire_sensor_fault(
         self,
         sink: List[Alert],
@@ -920,19 +748,12 @@ class DetectionEngine:
         the alert anchors at the count of indexes evaluated up to that
         sample, which is chunking-invariant by construction.
         """
-        self._fault_fired = True
-        self._fault_reasons = list(reasons)
-        window = len(self._c_hist)
-        self._fault_window = window
+        window = self.n_indexes
+        self._sanitizer.fire(reasons, window)
         if not self.armed:
             return
         time_s = t_sample / self._rate
         longest_s = longest_at_t / self._rate
-        alert = Alert(
-            window, SENSOR_FAULT, longest_s, self.policy.max_dark_s, time_s
-        )
-        sink.append(alert)
-        self._fired.add(SENSOR_FAULT)
         if obs.enabled():
             obs.counter("repro.core.engine.sensor_faults").inc()
         if events.enabled():
@@ -943,11 +764,11 @@ class DetectionEngine:
                 time_s=float(time_s),
                 longest_dark_s=float(longest_s),
             )
-            self._emit_alarm(alert)
+        self._evidence.raise_alert(
+            Alert(window, SENSOR_FAULT, longest_s, self.policy.max_dark_s, time_s),
+            sink,
+        )
 
-    # ------------------------------------------------------------------
-    # Stages 2-4: synchronize / compare / discriminate per index
-    # ------------------------------------------------------------------
     def _ingest(
         self,
         emitted: Sequence[Tuple[int, float]],
@@ -959,23 +780,23 @@ class DetectionEngine:
         v_batch: Optional[Dict[int, float]] = None
         if v_pre is None and len(emitted) > 1:
             v_batch = self._batch_compare(emitted)
+        san = self._sanitizer
         for i, disp in emitted:
-            if self._pending_fault is not None:
+            pending = san.pending_fault
+            if pending is not None:
                 stop = i * self._cursor.n_hop + self._cursor.n_win
-                if stop > self._pending_fault[0]:
+                if stop > pending[0]:
+                    san.pending_fault = None
                     self._fire_sensor_fault(
-                        new_alerts, ("dark_channel",), *self._pending_fault
+                        new_alerts, ("dark_channel",), *pending
                     )
-                    self._pending_fault = None
             self._evaluate_index(
                 int(i), float(disp), v_pre, v_batch, new_alerts
             )
-        if self._pending_fault is not None:
-            self._fire_sensor_fault(
-                new_alerts, ("dark_channel",), *self._pending_fault
-            )
-            self._pending_fault = None
-        self._alerts.extend(new_alerts)
+        if san.pending_fault is not None:
+            pending, san.pending_fault = san.pending_fault, None
+            self._fire_sensor_fault(new_alerts, ("dark_channel",), *pending)
+        self._evidence.alerts.extend(new_alerts)
         return new_alerts
 
     def _batch_compare(
@@ -1030,63 +851,18 @@ class DetectionEngine:
     ) -> None:
         """Compare + discriminate one synchronized index (window or point).
 
-        This is the single implementation of the per-index evidence math:
-        incremental CADHD (Eq. 17), trailing-min filtered horizontal and
-        vertical distances (Eq. 19-22), quarantine flagging, and the
-        first-crossing alert per sub-module.
+        A synchronizer emitting a non-finite displacement would poison the
+        cumulative CADHD for the rest of the print; the previous estimate
+        is held for the c/h sub-modules and this index reports worst-case
+        vertical evidence instead.
         """
-        t = self.thresholds
-        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        time_s = i * n_hop / self._rate
-
-        # A synchronizer emitting a non-finite displacement would poison
-        # the cumulative CADHD for the rest of the print; hold the previous
-        # estimate for the c/h sub-modules and report worst-case vertical
-        # evidence for this index instead.
         degenerate = not math.isfinite(disp)
         if degenerate:
-            disp = self._prev_disp
-
-        # Sub-module 1: CADHD, updated incrementally (Eq. 17).
-        self._c_disp += abs(disp - self._prev_disp)
-        self._prev_disp = disp
-        self._c_hist.append(self._c_disp)
-
-        # Sub-module 2: filtered horizontal distance (Eq. 19, 21).
-        self._h_hist.append(abs(disp))
-        h_f = min(self._h_hist[-self.filter_window:])
-        self._h_f.append(h_f)
-
-        # Sub-module 3: filtered vertical distance (Eq. 20, 22).
+            disp = self._evidence.prev_disp
         v = self._stage_compare(i, disp, degenerate, v_pre, v_batch)
-        self._quarantine_check(i, n_win, n_hop)
-        self._v_hist.append(v)
-        v_f = min(self._v_hist[-self.filter_window:])
-        self._v_f.append(v_f)
-
-        if events.enabled():
-            events.log().emit(
-                "window_evidence",
-                window=i,
-                h_disp=float(disp),
-                c_disp=float(self._c_disp),
-                h_dist_f=float(h_f),
-                v_dist_f=float(v_f),
-            )
-        if t is None:
-            return
-        for submodule, value, threshold in (
-            ("c_disp", self._c_disp, t.c_c),
-            ("h_dist", h_f, t.h_c),
-            ("v_dist", v_f, t.v_c),
-        ):
-            if submodule in self._fired or not value > threshold:
-                continue
-            self._fired.add(submodule)
-            alert = Alert(i, submodule, value, threshold, time_s)
-            sink.append(alert)
-            if events.enabled():
-                self._emit_alarm(alert)
+        self._quarantine_check(i)
+        time_s = i * self._cursor.n_hop / self._rate
+        self._evidence.add(i, disp, v, time_s, sink)
 
     def _stage_compare(
         self,
@@ -1122,14 +898,15 @@ class DetectionEngine:
             events.log().emit("window_truncated", window=i, n=int(n))
         return TRUNCATED_WINDOW_DISTANCE
 
-    def _quarantine_check(self, i: int, n_win: int, n_hop: int) -> None:
+    def _quarantine_check(self, i: int) -> None:
         """Flag an index whose input samples had to be repaired."""
-        if self._n_nonfinite == 0:
+        if self._sanitizer.n_nonfinite == 0:
             # Nothing was ever repaired, so no window can be quarantined;
             # skip the per-window mask scan on healthy streams.
             return
         if self._cursor.mode == "window":
-            start = i * n_hop
+            start = i * self._cursor.n_hop
+            n_win = self._cursor.n_win
             n_bad = int(
                 np.count_nonzero(self._bad_ring.view(start, start + n_win))
             )
@@ -1141,26 +918,15 @@ class DetectionEngine:
             )
         if not n_bad:
             return
-        self._quarantined.append(i)
+        self._evidence.quarantined.append(i)
         if obs.enabled():
             obs.counter("repro.core.engine.quarantined_windows").inc()
         if events.enabled():
             events.log().emit("window_quarantined", window=i, n_bad=n_bad)
 
-    def _emit_alarm(self, alert: Alert) -> None:
-        """The one ``alarm`` emission site (sub-module, duration, fault)."""
-        events.log().emit(
-            "alarm",
-            window=int(alert.window_index),
-            submodule=alert.submodule,
-            value=float(alert.value),
-            threshold=float(alert.threshold),
-            time_s=float(alert.time_s),
-        )
-
     def _trim(self) -> None:
         """Drop the buffered prefix every evaluated window has consumed."""
-        low = len(self._c_hist) * self._cursor.n_hop
+        low = self.n_indexes * self._cursor.n_hop
         self._ring.trim_to(low)
         self._bad_ring.trim_to(low)
 
@@ -1175,14 +941,14 @@ class DetectionEngine:
         early/late relative to the reference, and the synchronizer walking
         off the reference before the observation ended.
         """
+        n = self.samples_seen
         if sync.mode == "window":
-            n = self._samples_seen
             n_obs = (
                 0 if n < sync.n_win else 1 + (n - sync.n_win) // sync.n_hop
             )
             n_ref = self.reference.n_windows(sync.n_win, sync.n_hop)
         else:
-            n_obs = self._samples_seen
+            n_obs = n
             n_ref = self.reference.n_samples
         return float(max(abs(n_obs - n_ref), n_obs - sync.n_indexes))
 
@@ -1190,7 +956,6 @@ class DetectionEngine:
         self,
         features: DetectionFeatures,
         sync: SyncResult,
-        health: ChannelHealth,
     ) -> Detection:
         """Apply the run-level checks and assemble the final verdict."""
         t = self.thresholds
@@ -1204,15 +969,12 @@ class DetectionEngine:
                 "duration",
                 features.duration_mismatch,
                 t.d_c,
-                self._samples_seen / self._rate,
+                self.samples_seen / self._rate,
             )
-            self._alerts.append(alert)
-            self._fired.add("duration")
-            if events.enabled():
-                self._emit_alarm(alert)
+            self._evidence.raise_alert(alert, self._evidence.alerts)
         first = verdict.first_alarm_index
-        if self._fault_fired:
-            fault_at = self._fault_window if self._fault_window is not None else 0
+        if self._sanitizer.fault_fired:
+            fault_at = self._sanitizer.fault_window or 0
             first = fault_at if first is None else min(first, fault_at)
             verdict = replace(
                 verdict, is_intrusion=True, sensor_fault_fired=True
@@ -1223,13 +985,7 @@ class DetectionEngine:
                 first_alarm_index=int(first),
                 first_alarm_time=first * sync.n_hop / self._rate,
             )
-        verdict = replace(
-            verdict,
-            health={
-                **health.to_dict(),
-                "quarantined_windows": list(self._quarantined),
-            },
-        )
+        verdict = replace(verdict, health=self.health_dict())
         if events.enabled():
             events.log().emit(
                 "run_summary",

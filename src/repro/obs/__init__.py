@@ -41,12 +41,10 @@ discriminator evidence, alarms, run summaries — ``events.enable(path)`` or
 :func:`export_chrome_trace` capture spans as Chrome/Perfetto
 ``trace_event`` JSON for ``ui.perfetto.dev``.
 
-Two *live* layers complete the picture: :mod:`repro.obs.telemetry`
+A *live* layer completes the picture: :mod:`repro.obs.telemetry`
 exposes everything above over a Prometheus text-exposition endpoint with
 a per-stream health registry (``obs.serve_telemetry(port)``,
-``REPRO_TELEMETRY=port``, ``repro top``), and :mod:`repro.obs.profiler`
-is a stdlib-only sampling profiler (``REPRO_PROFILE``) producing
-collapsed-stack and Chrome-trace output.
+``REPRO_TELEMETRY=port``, ``repro top``).
 
 Note on multiprocessing: metrics live in the recording process.
 ``CampaignEngine(workers>=2)`` re-enables recording inside each worker
@@ -63,7 +61,6 @@ from pathlib import Path
 from typing import Dict, Union
 
 from . import events
-from . import profiler  # noqa: F401  (public submodule: obs.profiler)
 from .metrics import (
     SNAPSHOT_VERSION,
     Counter,
@@ -86,7 +83,6 @@ from .tracing import (
 
 __all__ = [
     "events",
-    "profiler",
     "telemetry",
     "serve_telemetry",
     "stop_telemetry",

@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Set, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from ..obs import telemetry
 from .checkpoint import CheckpointStore
@@ -58,6 +59,8 @@ from .protocol import (
 from .shard import ShardCrashed, ShardPool
 
 __all__ = ["FleetServer", "StreamInfo"]
+
+_log = logging.getLogger(__name__)
 
 
 def _note_alerts(row: telemetry.StreamHealth, alerts: object) -> None:
@@ -171,6 +174,9 @@ class FleetServer:
         self._chunks_total = 0
         self._samples_total = 0
         self._checkpoints_total = 0
+        self._checkpoint_failures_total = 0
+        # (stream id, error type) pairs already logged.
+        self._checkpoint_failures_logged: Set[Tuple[Optional[str], str]] = set()
         self._crashes_total = 0
 
     # ------------------------------------------------------------------
@@ -250,24 +256,63 @@ class FleetServer:
             "chunks_total": float(self._chunks_total),
             "samples_total": float(self._samples_total),
             "checkpoints_total": float(self._checkpoints_total),
+            "checkpoint_failures_total": float(
+                self._checkpoint_failures_total
+            ),
             "shard_crashes_total": float(self._crashes_total),
         }
 
     async def checkpoint_now(self) -> int:
-        """Persist every live engine's state; returns streams written."""
+        """Persist every live engine's state; returns streams written.
+
+        One stream's failed save does not stop the sweep: every other
+        stream is still written.  Each failure is counted in
+        ``checkpoint_failures_total`` and logged once per stream and
+        error type; the first one is re-raised after the sweep.
+        """
         if self.checkpoints is None or self.pool is None:
             return 0
-        states = await self.pool.all_states()
+        try:
+            states = await self.pool.all_states()
+        except Exception as exc:
+            self._checkpoint_failed(None, exc)
+            raise
+        first: Optional[Exception] = None
+        written = 0
         for stream_id, doc in states.items():
-            self.checkpoints.save(stream_id, doc)
-        self._checkpoints_total += len(states)
-        return len(states)
+            try:
+                self.checkpoints.save(stream_id, doc)
+            except Exception as exc:
+                self._checkpoint_failed(stream_id, exc)
+                first = first or exc
+            else:
+                written += 1
+        self._checkpoints_total += written
+        if first is not None:
+            raise first
+        return written
+
+    def _checkpoint_failed(
+        self, stream_id: Optional[str], exc: Exception
+    ) -> None:
+        """Count one failed checkpoint (``None``: the state pull itself)."""
+        self._checkpoint_failures_total += 1
+        key = (stream_id, type(exc).__name__)
+        if key not in self._checkpoint_failures_logged:
+            self._checkpoint_failures_logged.add(key)
+            _log.warning(
+                "checkpoint of stream %r failed; it is retried each sweep "
+                "and logged again only for a new error type",
+                stream_id, exc_info=exc,
+            )
 
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self.checkpoint_interval_s)
-            with contextlib.suppress(Exception):
+            try:
                 await self.checkpoint_now()
+            except Exception:
+                pass  # counted and logged by the sweep; the next retries
 
     # ------------------------------------------------------------------
     async def _on_connection(

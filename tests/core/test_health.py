@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import SanitizePolicy, constant_runs, sanitize_signal
+from repro.core import SanitizePolicy, sanitize_signal
 from repro.core.health import ChannelHealth
 from repro.signals import Signal
 
@@ -11,35 +11,6 @@ from repro.signals import Signal
 def textured(n=500, seed=0):
     rng = np.random.default_rng(seed)
     return np.cumsum(rng.standard_normal(n))
-
-
-class TestConstantRuns:
-    def test_healthy_data_yields_unit_runs(self):
-        runs = constant_runs(np.array([1.0, 2.0, 3.0]))
-        assert runs == [(0, 1), (1, 2), (2, 3)]
-
-    def test_constant_stretch_is_one_run(self):
-        runs = constant_runs(np.array([1.0, 5.0, 5.0, 5.0, 2.0]))
-        assert (1, 4) in runs
-
-    def test_nan_extends_runs(self):
-        """A NaN is as dead as a repeated constant: it must join runs."""
-        runs = constant_runs(np.array([1.0, np.nan, np.nan, 1.0, 2.0]))
-        assert (0, 4) in runs
-
-    def test_eps_tolerance(self):
-        x = np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 5.0])
-        assert (0, 3) in constant_runs(x, eps=1e-6)
-
-    def test_empty_input(self):
-        assert constant_runs(np.array([])) == []
-
-    def test_every_sample_covered_once(self):
-        rng = np.random.default_rng(3)
-        x = rng.integers(0, 3, size=50).astype(float)
-        runs = constant_runs(x)
-        covered = sorted(i for a, b in runs for i in range(a, b))
-        assert covered == list(range(50))
 
 
 class TestSanitizePolicy:

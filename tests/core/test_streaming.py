@@ -170,7 +170,7 @@ class TestTruncatedWindows:
         finally:
             snapshot = obs.snapshot()
             obs.disable()
-        assert ids.engine._v_hist[-1] == TRUNCATED_WINDOW_DISTANCE
+        assert ids.engine._evidence.v_hist[-1] == TRUNCATED_WINDOW_DISTANCE
         truncated = events.tail(etype="window_truncated")
         assert truncated and truncated[-1]["n"] < 2
         assert snapshot["counters"][

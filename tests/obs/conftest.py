@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.obs import events, profiler, telemetry
+from repro.obs import events, telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -15,14 +15,12 @@ def clean_obs():
     obs.disable_chrome_trace()
     telemetry.reset_streams()
     telemetry.stop()
-    profiler.disable()
     yield
     obs.reset()
     events.disable()
     obs.disable_chrome_trace()
     telemetry.reset_streams()
     telemetry.stop()
-    profiler.disable()
     if was_enabled:
         obs.enable()
     else:

@@ -334,6 +334,57 @@ class TestCheckpointing:
         assert n == 2
         assert cursors == [300, 300]
 
+    def test_failed_save_is_isolated_counted_and_retried(
+        self, model_dir, tmp_path, monkeypatch, caplog
+    ):
+        """A store that cannot write one stream still writes the others;
+        every failure is counted, logged once, and the loop keeps going."""
+        ids = ("a", "bad", "z")
+        real_save = CheckpointStore.save
+        failed = []
+
+        def save(self, stream_id, state_doc):
+            if stream_id == "bad":
+                failed.append(stream_id)
+                raise OSError(28, "No space left on device")
+            return real_save(self, stream_id, state_doc)
+
+        monkeypatch.setattr(CheckpointStore, "save", save)
+
+        async def scenario(server):
+            reader, writer = await connect(server)
+            for stream_id in ids:
+                await rpc(reader, writer, {"op": "open", "stream_id": stream_id})
+                await rpc(reader, writer, {
+                    "op": "chunk", "stream_id": stream_id, "seq": 0,
+                    "samples": demo_observed(0, N_SAMPLES)[:300, 0].tolist(),
+                })
+            with pytest.raises(OSError, match="No space"):
+                await server.checkpoint_now()
+            cursors = [server.checkpoints.samples_seen(s) for s in ids]
+            after_sweep = server.service_stats()
+            for _ in range(200):  # the periodic loop keeps sweeping
+                if len(failed) >= 3:
+                    break
+                await asyncio.sleep(0.05)
+            later = server.service_stats()
+            for stream_id in ids:
+                await rpc(reader, writer, {"op": "close", "stream_id": stream_id})
+            writer.close()
+            return cursors, after_sweep, later
+
+        with caplog.at_level("WARNING", logger="repro.serve.server"):
+            cursors, after_sweep, later = serve_test(
+                model_dir, scenario,
+                checkpoint_dir=tmp_path / "ckpt", checkpoint_interval_s=0.1,
+            )
+        assert cursors == [300, 0, 300]
+        assert after_sweep["checkpoint_failures_total"] >= 1.0
+        assert later["checkpoint_failures_total"] >= 3.0
+        assert later["checkpoints_total"] > after_sweep["checkpoints_total"]
+        logged = [r for r in caplog.records if "'bad'" in r.getMessage()]
+        assert len(logged) == 1
+
 
 class TestShutdown:
     def test_stop_drains_and_rejects_new_work(self, model_dir):
