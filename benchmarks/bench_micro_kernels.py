@@ -9,6 +9,8 @@ Rough expectations on commodity hardware:
 * correlation_profile: sub-millisecond for a 4 s ACC window, and for one
   402-channel AUD spectrogram window at RM3's and UM3's Table IV shapes;
 * one full DWM synchronization of an 80 s raw ACC pair: tens of ms;
+* one compare-stage ``pair_distances`` call over a run's window stack,
+  stacking included: a few ms;
 * STFT of the same signal: a few ms.
 """
 
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.attacks import PrintJob
+from repro.core import Comparator, stack_axis
 from repro.printer import TimeNoiseModel, ULTIMAKER3
 from repro.printer.arcs import segment_arcs
 from repro.printer.firmware import Firmware
@@ -73,6 +76,40 @@ def test_kernel_correlation_profile_aud_spectro(benchmark, n_shifts, n_win):
     with mock.patch.object(tde_module, "_direct_cross", _loop_cross):
         oracle = correlation_profile(segment, window)
     assert result.shape == (n_shifts,)
+    assert np.array_equal(result, oracle)
+
+
+@pytest.mark.parametrize(
+    "k,n,c",
+    [(153, 400, 6), (35, 40, 402)],
+    ids=["RM3-ACC-Raw", "UM3-AUD-Spectro"],
+)
+def test_kernel_pair_distances(benchmark, k, n, c):
+    """The compare stage's batch over one run: k window pairs of n samples
+    by c channels, stacked in the :func:`stack_axis` layout as the engine
+    stacks them.  Must equal the scalar per-pair loop bit for bit."""
+    rng = np.random.default_rng(3)
+    ref = rng.standard_normal((k * n // 2 + n, c))
+    obs = ref[: len(ref) - 7] * 1.5 + 0.1 * rng.standard_normal(
+        (len(ref) - 7, c)
+    )
+    starts = np.arange(k) * (n // 2)
+    wins_a = [obs[s : s + n] for s in starts]
+    wins_b = [ref[s + 3 : s + 3 + n] for s in starts]
+    comp = Comparator()
+    axis = stack_axis(c)
+
+    def stack_and_score():
+        return comp.pair_distances(
+            np.stack(wins_a, axis=1 - axis),
+            np.stack(wins_b, axis=1 - axis),
+            axis,
+        )
+
+    result = benchmark(stack_and_score)
+    oracle = np.array(
+        [comp.pair_distance(wa, wb) for wa, wb in zip(wins_a, wins_b)]
+    )
     assert np.array_equal(result, oracle)
 
 

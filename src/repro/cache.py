@@ -46,6 +46,8 @@ __all__ = [
     "RunCache",
     "RunPayload",
     "describe",
+    "digest_cache_key",
+    "program_digest",
     "run_cache_key",
     "default_cache_dir",
     "resolve_cache",
@@ -118,6 +120,15 @@ def _describe_daq(daq) -> object:
     return out
 
 
+def program_digest(program) -> str:
+    """SHA-256 of a program's G-code text serialization.
+
+    Programs that serialize identically (regardless of how they were
+    produced — sliced, parsed, or attacked) share cache entries.
+    """
+    return hashlib.sha256(program.to_text().encode("utf-8")).hexdigest()
+
+
 def run_cache_key(
     program,
     machine,
@@ -128,16 +139,27 @@ def run_cache_key(
 ) -> str:
     """Stable content address of one simulated process run.
 
-    ``program`` is hashed through its G-code text serialization, so programs
-    that serialize identically (regardless of how they were produced —
-    sliced, parsed, or attacked) share cache entries.
+    ``program`` is hashed through :func:`program_digest`.
     """
+    return digest_cache_key(
+        program_digest(program), machine, noise, daq, channels, seed
+    )
+
+
+def digest_cache_key(
+    program_sha256: str,
+    machine,
+    noise,
+    daq,
+    channels: Optional[Sequence[str]],
+    seed: int,
+) -> str:
+    """:func:`run_cache_key` of a program already hashed by
+    :func:`program_digest`; the same bytes for the same run."""
     wanted = tuple(channels) if channels is not None else tuple(daq.sensors)
     document = {
         "version": CACHE_VERSION,
-        "program": hashlib.sha256(
-            program.to_text().encode("utf-8")
-        ).hexdigest(),
+        "program": program_sha256,
         "machine": describe(machine),
         "noise": describe(noise),
         "daq": _describe_daq(daq),

@@ -1,6 +1,6 @@
 """NSYNC core: comparator, discriminator, OCC training, IDS pipelines."""
 
-from .comparator import Comparator, vertical_distances
+from .comparator import Comparator, stack_axis, vertical_distances
 from .discriminator import (
     Detection,
     DetectionFeatures,
@@ -29,6 +29,7 @@ from .fusion import FusionDetection, MultiChannelNsyncIds
 
 __all__ = [
     "Comparator",
+    "stack_axis",
     "vertical_distances",
     "DetectionEngine",
     "DetectorState",

@@ -20,7 +20,12 @@ from ..signals.metrics import DISTANCE_METRICS, correlation_distance
 from ..signals.signal import Signal
 from ..sync.base import SyncResult
 
-__all__ = ["Comparator", "vertical_distances", "MAX_CORRELATION_DISTANCE"]
+__all__ = [
+    "Comparator",
+    "vertical_distances",
+    "stack_axis",
+    "MAX_CORRELATION_DISTANCE",
+]
 
 DistanceFn = Callable[[np.ndarray, np.ndarray], float]
 
@@ -36,6 +41,20 @@ MAX_CORRELATION_DISTANCE = 2.0
 #: Amplitude spread below which a window counts as constant (zero-variance);
 #: matches the ``_EPS`` guard inside :mod:`repro.signals.metrics`.
 _CONSTANT_EPS = 1e-12
+
+
+def stack_axis(n_channels: int) -> int:
+    """Window axis of a window-pair stack bit-identical to the scalar path.
+
+    The scalar :meth:`Comparator.pair_distance` reduces each ``(n, c)``
+    window over axis 0.  For ``c >= 2`` numpy adds the rows in sequence,
+    and so it does over axis 0 of a window-major ``(n, k, c)`` stack, whose
+    inner loops are then ``k * c`` wide: returns 0.  For ``c == 1`` the
+    window is one contiguous run that numpy sums *pairwise*; only a
+    pair-major ``(k, n, 1)`` stack, reduced over axis 1, keeps that order:
+    returns 1.
+    """
+    return 0 if n_channels > 1 else 1
 
 
 def _is_constant(window: np.ndarray) -> bool:
@@ -115,48 +134,68 @@ class Comparator:
         value = float(self.metric(wa, wb))
         return value if math.isfinite(value) else MAX_CORRELATION_DISTANCE
 
-    def pair_distances(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        """Batched :meth:`pair_distance` over stacked ``(k, n, c)`` pairs.
+    def pair_distances(
+        self, wa: np.ndarray, wb: np.ndarray, axis: int = 1
+    ) -> np.ndarray:
+        """Batched :meth:`pair_distance` over stacked window pairs.
 
-        Bit-identical to calling :meth:`pair_distance` on each pair in
-        turn: the batched reductions run over the same axis, in the same
-        operation order, on the same float64 values, so numpy produces the
-        same bits per window (differential-tested against the scalar
-        reference).  Only the correlation metric vectorizes — any other
-        metric is an opaque ``d(u, v) -> float`` callable and falls back
-        to the per-pair loop.
+        ``axis`` is the stacks' window (sample) axis and the reduction
+        axis; the other of axes 0 and 1 indexes the pairs, and channels
+        come last.  ``axis=1`` takes pair-major ``(k, n, c)`` stacks,
+        ``axis=0`` window-major ``(n, k, c)`` ones, whose reductions run
+        ``k * c`` wide.  :func:`stack_axis` names the layout that makes the
+        result bit-identical to calling :meth:`pair_distance` on each pair
+        in turn: the batched reductions then add the same float64 values in
+        the same order as the scalar reference (differential-tested).  Only
+        the correlation metric vectorizes — any other metric is an opaque
+        ``d(u, v) -> float`` callable and falls back to the per-pair loop.
         """
         wa = np.asarray(wa, dtype=np.float64)
         wb = np.asarray(wb, dtype=np.float64)
         if wa.ndim != 3 or wa.shape != wb.shape:
             raise ValueError(
-                f"expected matching (k, n, c) window stacks, "
+                f"expected matching 3-D window stacks, "
                 f"got {wa.shape} vs {wb.shape}"
             )
-        k = wa.shape[0]
+        if axis not in (0, 1):
+            raise ValueError(f"window axis must be 0 or 1, got {axis!r}")
+        pairs = 1 - axis
+        k = wa.shape[pairs]
         out = np.empty(k)
         if k == 0:
             return out
         if not self._correlation_like:
             for j in range(k):
-                out[j] = self.pair_distance(wa[j], wb[j])
+                out[j] = self.pair_distance(
+                    np.take(wa, j, pairs), np.take(wb, j, pairs)
+                )
             return out
-        ca = np.all(np.ptp(wa, axis=1) <= _CONSTANT_EPS, axis=1)
-        cb = np.all(np.ptp(wb, axis=1) <= _CONSTANT_EPS, axis=1)
+        # Per-pair, per-channel summaries come out (k, c) in either layout.
+        ca = np.all(np.ptp(wa, axis=axis) <= _CONSTANT_EPS, axis=1)
+        cb = np.all(np.ptp(wb, axis=axis) <= _CONSTANT_EPS, axis=1)
         special = ca | cb
         if special.any():
             out[special] = MAX_CORRELATION_DISTANCE
             both = ca & cb
             if both.any():
-                same = both & np.all(wa[:, 0, :] == wb[:, 0, :], axis=1)
+                first_a, first_b = np.take(wa, 0, axis), np.take(wb, 0, axis)
+                same = both & np.all(first_a == first_b, axis=1)
                 out[same] = 0.0
         rest = ~special
         if rest.any():
-            u, v = wa[rest], wb[rest]
-            du = u - u.mean(axis=1, keepdims=True)
-            dv = v - v.mean(axis=1, keepdims=True)
-            num = np.sum(du * dv, axis=1)
-            den = np.linalg.norm(du, axis=1) * np.linalg.norm(dv, axis=1)
+            u, v = wa, wb
+            if not rest.all():
+                u, v = np.compress(rest, wa, pairs), np.compress(rest, wb, pairs)
+            du = u - u.mean(axis=axis, keepdims=True)
+            dv = v - v.mean(axis=axis, keepdims=True)
+            # np.linalg.norm is sqrt(add.reduce(d * d)); one scratch array
+            # holds each product in turn.
+            prod = du * dv
+            num = np.add.reduce(prod, axis=axis)
+            np.multiply(du, du, out=prod)
+            den = np.sqrt(np.add.reduce(prod, axis=axis))
+            np.multiply(dv, dv, out=prod)
+            den *= np.sqrt(np.add.reduce(prod, axis=axis))
             scores = np.where(
                 den > _METRIC_EPS, num / np.maximum(den, _METRIC_EPS), 0.0
             )
@@ -172,10 +211,11 @@ class Comparator:
         """Vertical distances for every synchronized window (Eq. 16).
 
         Fast path: all windows that lie fully inside both signals with a
-        finite displacement are gathered into one ``(k, n_win, c)`` stack
-        and scored by a single :meth:`pair_distances` call.  Boundary-
-        clipped, degenerate, or non-finitely-displaced windows take the
-        scalar per-window route, which owns the walk-off accounting.
+        finite displacement are gathered into one stack, laid out as
+        :func:`stack_axis` says, and scored by a single
+        :meth:`pair_distances` call.  Boundary-clipped, degenerate, or
+        non-finitely-displaced windows take the scalar per-window route,
+        which owns the walk-off accounting.
         """
         n_win, n_hop = sync.n_win, sync.n_hop
         k = sync.n_indexes
@@ -197,12 +237,13 @@ class Comparator:
         out = np.empty(k)
         idx = np.flatnonzero(eligible)
         if idx.size:
-            span = np.arange(n_win)
-            a0 = idx * n_hop
-            b0 = b0f[idx].astype(np.int64)
-            wa = a.data[a0[:, np.newaxis] + span, :]
-            wb = b.data[b0[:, np.newaxis] + span, :]
-            out[idx] = self.pair_distances(wa, wb)
+            axis = stack_axis(a.n_channels)
+            span = np.expand_dims(np.arange(n_win), 1 - axis)
+            a0 = np.expand_dims(idx * n_hop, axis)
+            b0 = np.expand_dims(b0f[idx].astype(np.int64), axis)
+            out[idx] = self.pair_distances(
+                a.data[a0 + span, :], b.data[b0 + span, :], axis
+            )
         for i in np.flatnonzero(~eligible):
             out[i] = self._one_window_distance(a, b, sync, int(i))
         return out

@@ -62,7 +62,7 @@ from ..obs import events
 from ..signals.ringbuffer import SampleRing
 from ..signals.signal import Signal
 from ..sync.base import BatchSyncCursor, SyncCursor, SyncResult, Synchronizer
-from .comparator import Comparator, DistanceFn, MAX_CORRELATION_DISTANCE
+from .comparator import Comparator, DistanceFn, MAX_CORRELATION_DISTANCE, stack_axis
 from .discriminator import (
     Detection,
     DetectionFeatures,
@@ -806,8 +806,9 @@ class DetectionEngine:
 
         Gathers every emitted window that lies fully inside both the
         buffered tail and the reference (finite displacement, no boundary
-        clipping) into one ``(k, n_win, c)`` stack and scores it with one
-        :meth:`~repro.core.comparator.Comparator.pair_distances` call —
+        clipping) into one stack, laid out as
+        :func:`~repro.core.comparator.stack_axis` says, and scores it with
+        one :meth:`~repro.core.comparator.Comparator.pair_distances` call —
         bit-identical to the per-window scalar path.  Windows that need
         the worst-case fallback are deliberately left out: they emit
         ``window_truncated`` events from inside the per-index loop, and
@@ -836,8 +837,11 @@ class DetectionEngine:
             stack_b.append(ref[b0 : b0 + n_win])
         if not idxs:
             return None
+        axis = stack_axis(ref.shape[1])
         vals = self._comparator.pair_distances(
-            np.stack(stack_a), np.stack(stack_b)
+            np.stack(stack_a, axis=1 - axis),
+            np.stack(stack_b, axis=1 - axis),
+            axis,
         )
         return {i: float(v) for i, v in zip(idxs, vals)}
 

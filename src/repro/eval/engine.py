@@ -38,12 +38,12 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..obs import events
 from ..attacks.base import PrintJob
-from ..cache import RunCache, resolve_cache, run_cache_key
+from ..cache import RunCache, digest_cache_key, program_digest, resolve_cache
 from ..sensors.daq import DataAcquisition, default_daq
 from .dataset import PrinterSetup, ProcessRun, run_process
 
@@ -235,14 +235,15 @@ class CampaignEngine:
         # Register the counter even for an all-hits batch, so a snapshot
         # after a fully warm campaign reports simulated == 0 explicitly.
         obs.counter("repro.eval.engine.simulated").inc(0)
+        keys = self._cache_keys(daq, wanted)
         try:
             if self.workers >= 2 and len(requests) > 1:
                 yield from self._iter_pooled(
-                    requests, daq, wanted, lazy, window, emit, record
+                    requests, daq, wanted, keys, lazy, window, emit, record
                 )
             else:
                 yield from self._iter_serial(
-                    requests, daq, wanted, lazy, emit, record
+                    requests, daq, wanted, keys, lazy, emit, record
                 )
         finally:
             elapsed = time.perf_counter() - t0
@@ -257,27 +258,44 @@ class CampaignEngine:
                 )
 
     # -- streaming internals ----------------------------------------------
+    def _cache_keys(
+        self, daq: DataAcquisition, wanted: Optional[Tuple[str, ...]]
+    ) -> Callable[[RunRequest], Optional[str]]:
+        """Run cache key of each request of one :meth:`iter_execute` call.
+
+        Serializing a program dominates a key, and a campaign repeats its
+        benign program for every reference, training and benign run, so
+        each distinct program object is hashed once per call.  Programs are
+        mutable, so the memo lives only as long as the call (whose request
+        list keeps every program, hence every ``id``, alive).
+        """
+        if self.cache is None:
+            return lambda request: None
+        digests: Dict[int, str] = {}
+
+        def key(request: RunRequest) -> str:
+            program = request.job.program
+            digest = digests.get(id(program))
+            if digest is None:
+                digest = digests[id(program)] = program_digest(program)
+            setup = request.setup
+            return digest_cache_key(
+                digest, setup.machine, setup.noise, daq, wanted, request.seed
+            )
+
+        return key
+
     def _lookup(
         self,
         index: int,
         request: RunRequest,
-        daq: DataAcquisition,
-        wanted: Optional[Tuple[str, ...]],
+        key: Optional[str],
         lazy: bool,
         emit: bool,
     ) -> Tuple[Optional[str], Optional[ProcessRun]]:
         """Resolve one request against the cache (never reaches a worker)."""
-        key: Optional[str] = None
         run: Optional[ProcessRun] = None
         if self.cache is not None:
-            key = run_cache_key(
-                request.job.program,
-                request.setup.machine,
-                request.setup.noise,
-                daq,
-                wanted,
-                request.seed,
-            )
             with obs.trace("cache_lookup"):
                 if lazy:
                     handle = self.cache.get_lazy(key)
@@ -331,10 +349,10 @@ class CampaignEngine:
         return run
 
     def _iter_serial(
-        self, requests, daq, wanted, lazy, emit, record
+        self, requests, daq, wanted, keys, lazy, emit, record
     ) -> Iterator[Tuple[RunRequest, ProcessRun]]:
         for i, request in enumerate(requests):
-            key, run = self._lookup(i, request, daq, wanted, lazy, emit)
+            key, run = self._lookup(i, request, keys(request), lazy, emit)
             if run is None:
                 t_task = time.perf_counter()
                 # record=False: the serial path runs in-process, so metrics
@@ -351,7 +369,7 @@ class CampaignEngine:
             yield request, run
 
     def _iter_pooled(
-        self, requests, daq, wanted, lazy, window, emit, record
+        self, requests, daq, wanted, keys, lazy, window, emit, record
     ) -> Iterator[Tuple[RunRequest, ProcessRun]]:
         window = window if window else max(2 * self.workers, 2)
         buffer_cap = max(2 * window, 8)
@@ -371,7 +389,9 @@ class CampaignEngine:
                 i = cursor
                 cursor += 1
                 request = requests[i]
-                key, run = self._lookup(i, request, daq, wanted, lazy, emit)
+                key, run = self._lookup(
+                    i, request, keys(request), lazy, emit
+                )
                 if run is not None:
                     pending.append((request, run, None))
                     continue

@@ -12,11 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .signal import Signal
 from .windows import get_window
 
 __all__ = ["SpectrogramConfig", "spectrogram", "PAPER_SPECTROGRAMS"]
+
+#: STFT frames transformed per ``rfft`` call.
+_FRAME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -66,11 +70,14 @@ def spectrogram(signal: Signal, config: SpectrogramConfig) -> Signal:
     n_bins = n_win // 2 + 1
 
     frames = np.empty((n_frames, n_bins * signal.n_channels))
-    for i in range(n_frames):
-        chunk = signal.data[i * n_hop : i * n_hop + n_win, :]
-        tapered = chunk * taper[:, np.newaxis]
-        mags = np.abs(np.fft.rfft(tapered, axis=0))  # (n_bins, C)
-        frames[i, :] = mags.T.reshape(-1)
+    # (n_frames, C, n_win) strided view; each block of frames is tapered
+    # and transformed in one call, which bounds the temporaries on long
+    # prints.  Every frame sees the same per-line rfft as a lone frame.
+    view = sliding_window_view(signal.data, n_win, axis=0)[::n_hop]
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        block = view[start : start + _FRAME_BLOCK] * taper
+        mags = np.abs(np.fft.rfft(block, axis=-1))  # (b, C, n_bins)
+        frames[start : start + _FRAME_BLOCK] = mags.reshape(len(block), -1)
 
     out_rate = signal.sample_rate / n_hop
     return Signal(frames, out_rate)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Comparator, vertical_distances
+from repro.core import Comparator, stack_axis, vertical_distances
 from repro.signals import Signal
 from repro.sync import SyncResult
 
@@ -245,6 +245,91 @@ class TestBatchedDifferential:
             [comp.pair_distance(wa[j], wb[j]) for j in range(4)]
         )
         assert np.array_equal(batched, scalar)
+
+    def test_single_channel_needs_pair_major_stack(self):
+        """Why :func:`stack_axis` keeps c == 1 pair-major: numpy sums a
+        contiguous ``(n, 1)`` window pairwise, so reducing a window-major
+        stack (sequential over n) changes bits once n is large enough."""
+        assert stack_axis(1) == 1 and stack_axis(2) == stack_axis(402) == 0
+        comp = Comparator("correlation")
+        wa = np.random.default_rng(0).standard_normal((20, 200, 1))
+        wb = np.random.default_rng(100).standard_normal((20, 200, 1))
+        scalar = np.array(
+            [comp.pair_distance(wa[j], wb[j]) for j in range(20)]
+        )
+        assert np.array_equal(comp.pair_distances(wa, wb, axis=1), scalar)
+        window_major = comp.pair_distances(
+            np.ascontiguousarray(wa.transpose(1, 0, 2)),
+            np.ascontiguousarray(wb.transpose(1, 0, 2)),
+            axis=0,
+        )
+        assert not np.array_equal(window_major, scalar)
+
+    def test_pair_distances_rejects_bad_axis(self):
+        with pytest.raises(ValueError, match="window axis"):
+            Comparator().pair_distances(
+                np.zeros((2, 5, 1)), np.zeros((2, 5, 1)), axis=2
+            )
+
+    def test_pair_distances_hypothesis_bit_identical(self):
+        """Both stack layouts against the scalar reference, bit for bit:
+        equal values and equal sign bits, over degenerate windows too."""
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        comp = Comparator("correlation")
+        kinds = ["normal", "const", "same_const", "nan", "neg_zero", "zeros"]
+
+        def pair(rng, kind, n, c):
+            scale, offset = rng.uniform(1e-3, 1e3), rng.uniform(-1e3, 1e3)
+            wa = rng.standard_normal((n, c)) * scale + offset
+            wb = rng.standard_normal((n, c))
+            if kind == "const":
+                wa[:] = rng.uniform(-5.0, 5.0, c)
+            elif kind == "same_const":
+                wa[:] = rng.uniform(-5.0, 5.0, c)
+                wb = wa.copy()
+            elif kind == "nan":
+                wa[rng.integers(n), rng.integers(c)] = np.nan
+            elif kind == "neg_zero":
+                wa[:: max(n // 3, 1)] = -0.0
+                wb[:, 0] = -0.0
+            elif kind == "zeros":
+                wa[:] = -0.0
+                wb[:] = 0.0
+            return wa, wb
+
+        @given(
+            seed=st.integers(0, 2**16),
+            c=st.sampled_from([1, 2, 3, 6, 16, 402]),
+            n=st.integers(2, 2000),
+            pair_kinds=st.lists(
+                st.sampled_from(kinds), min_size=2, max_size=5
+            ),
+        )
+        @settings(deadline=None, max_examples=60)
+        # Long single-channel windows are where pairwise and sequential
+        # sums part; wide ones are the spectrogram cells.
+        @example(seed=1, c=1, n=200, pair_kinds=["normal"] * 4)
+        @example(seed=1, c=6, n=2000, pair_kinds=["normal", "nan", "zeros"])
+        @example(seed=2, c=402, n=40, pair_kinds=kinds)
+        def property_case(seed, c, n, pair_kinds):
+            rng = np.random.default_rng(seed)
+            pairs = [pair(rng, kind, n, c) for kind in pair_kinds]
+            scalar = np.array([comp.pair_distance(a, b) for a, b in pairs])
+            axis = stack_axis(c)
+            for layout in {axis, 1}:
+                batched = comp.pair_distances(
+                    np.stack([a for a, _ in pairs], axis=1 - layout),
+                    np.stack([b for _, b in pairs], axis=1 - layout),
+                    layout,
+                )
+                assert np.array_equal(batched, scalar)
+                assert np.array_equal(
+                    np.signbit(batched), np.signbit(scalar)
+                )
+
+        property_case()
 
     def test_window_distances_matches_scalar_reference(self):
         """Mixed clean / clipped / walked-off / NaN-displaced windows."""

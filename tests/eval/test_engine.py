@@ -112,6 +112,53 @@ def test_warm_cache_runs_zero_simulations(
     _assert_identical(serial_campaign, campaign)
 
 
+def test_iter_execute_hashes_each_program_once_with_unchanged_keys(
+    setup, attacks, tmp_path, monkeypatch
+):
+    """One ``iter_execute`` call serializes each distinct program once,
+    and its keys are :func:`run_cache_key`'s bytes, so entries written
+    under that key still hit."""
+    from repro.cache import RunCache, run_cache_key
+    from repro.eval.dataset import campaign_requests
+    from repro.printer.gcode import GcodeProgram
+    from repro.sensors.daq import default_daq
+
+    requests, _ = campaign_requests(
+        setup, attacks=attacks, n_train=2, n_benign_test=2,
+        n_attack_runs=1, seed=7,
+    )
+    cache_dir = tmp_path / "cache"
+    with CampaignEngine(workers=0, cache=cache_dir) as cold:
+        for _ in cold.iter_execute(requests, channels=("ACC",)):
+            pass
+    cache, daq = RunCache(cache_dir), default_daq()
+    for req in requests:
+        key = run_cache_key(
+            req.job.program, req.setup.machine, req.setup.noise, daq,
+            ("ACC",), req.seed,
+        )
+        assert cache.path_for(key).is_file()
+
+    serialized = []
+    real = GcodeProgram.to_text
+
+    def counting(self):
+        serialized.append(id(self))
+        return real(self)
+
+    monkeypatch.setattr(GcodeProgram, "to_text", counting)
+    programs = {id(req.job.program) for req in requests}
+    assert len(programs) < len(requests)
+    warm = CampaignEngine(workers=0, cache=cache_dir)
+    for _ in range(2):  # the memo does not outlive a call
+        serialized.clear()
+        for _ in warm.iter_execute(requests, channels=("ACC",)):
+            pass
+        assert sorted(serialized) == sorted(programs)
+    assert warm.stats.simulated == 0
+    assert warm.stats.cache_hits == 2 * len(requests)
+
+
 def test_noise_change_invalidates_cache(setup, attacks, tmp_path):
     """Different noise params must produce cache misses, not stale hits."""
     cache_dir = tmp_path / "cache"
