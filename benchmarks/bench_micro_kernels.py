@@ -9,8 +9,8 @@ Rough expectations on commodity hardware:
 * correlation_profile: sub-millisecond for a 4 s ACC window, and for one
   402-channel AUD spectrogram window at RM3's and UM3's Table IV shapes;
 * one full DWM synchronization of an 80 s raw ACC pair: tens of ms;
-* one compare-stage ``pair_distances`` call over a run's window stack,
-  stacking included: a few ms;
+* one compare-stage ``window_distances`` call over a run's windows,
+  gather included: a few ms; over one fleet window: tens of µs;
 * STFT of the same signal: a few ms.
 """
 
@@ -21,13 +21,15 @@ import numpy as np
 import pytest
 
 from repro.attacks import PrintJob
-from repro.core import Comparator, stack_axis
+from repro.core import Comparator
 from repro.printer import TimeNoiseModel, ULTIMAKER3
 from repro.printer.arcs import segment_arcs
 from repro.printer.firmware import Firmware
 from repro.signals import Signal, SpectrogramConfig, spectrogram
 from repro.slicer import SlicerConfig, gear_outline
-from repro.sync import DwmSynchronizer, UM3_DWM_PARAMS, fastdtw_path, tdeb
+from repro.sync import (
+    DwmSynchronizer, SyncResult, UM3_DWM_PARAMS, fastdtw_path, tdeb,
+)
 from repro.sync.tde import correlation_profile
 
 tde_module = importlib.import_module("repro.sync.tde")
@@ -81,36 +83,32 @@ def test_kernel_correlation_profile_aud_spectro(benchmark, n_shifts, n_win):
 
 @pytest.mark.parametrize(
     "k,n,c",
-    [(153, 400, 6), (35, 40, 402)],
-    ids=["RM3-ACC-Raw", "UM3-AUD-Spectro"],
+    [(153, 400, 6), (35, 40, 402), (1, 200, 1)],
+    ids=["RM3-ACC-Raw", "UM3-AUD-Spectro", "fleet-window"],
 )
 def test_kernel_pair_distances(benchmark, k, n, c):
-    """The compare stage's batch over one run: k window pairs of n samples
-    by c channels, stacked in the :func:`stack_axis` layout as the engine
-    stacks them.  Must equal the scalar per-pair loop bit for bit."""
+    """The compare stage over one push: k windows of n samples by c
+    channels through :meth:`Comparator.window_distances`, gather included
+    (a whole run in batch mode, or the single window a demo fleet stream
+    completes at 200 Hz).  Must equal the scalar per-window reference bit
+    for bit."""
     rng = np.random.default_rng(3)
-    ref = rng.standard_normal((k * n // 2 + n, c))
+    hop = max(n // 2, 1)
+    ref = rng.standard_normal((k * hop + n, c))
     obs = ref[: len(ref) - 7] * 1.5 + 0.1 * rng.standard_normal(
         (len(ref) - 7, c)
     )
-    starts = np.arange(k) * (n // 2)
-    wins_a = [obs[s : s + n] for s in starts]
-    wins_b = [ref[s + 3 : s + 3 + n] for s in starts]
+    index, disp = list(range(k)), [3.0] * k
     comp = Comparator()
-    axis = stack_axis(c)
-
-    def stack_and_score():
-        return comp.pair_distances(
-            np.stack(wins_a, axis=1 - axis),
-            np.stack(wins_b, axis=1 - axis),
-            axis,
-        )
-
-    result = benchmark(stack_and_score)
-    oracle = np.array(
-        [comp.pair_distance(wa, wb) for wa, wb in zip(wins_a, wins_b)]
+    dist, overlap = benchmark(
+        comp.window_distances, obs, 0, ref, index, disp, n, hop
     )
-    assert np.array_equal(result, oracle)
+    sync = SyncResult(np.asarray(disp), mode="window", n_win=n, n_hop=hop)
+    oracle = comp._window_distances_scalar(
+        Signal(obs, 1.0), Signal(ref, 1.0), sync
+    )
+    assert np.array_equal(dist, oracle)
+    assert overlap == [n] * k
 
 
 def test_kernel_tdeb(benchmark, acc_like_pair):

@@ -10,7 +10,7 @@ distance because it is insensitive to per-run gain changes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,9 +103,19 @@ class Comparator:
         by a signal boundary.  Point mode evaluates ``d(a[i], b[j])`` over
         the warping path and averages duplicates (Eq. 15).
         """
-        if sync.mode == "window":
-            return self._window_distances(a, b, sync)
-        return self._point_distances(a, b, sync)
+        if sync.mode != "window":
+            return self._point_distances(a, b, sync)
+        dist, n = self.window_distances(
+            a.data, 0, b.data, range(sync.n_indexes), sync.h_disp,
+            sync.n_win, sync.n_hop,
+        )
+        # Counted, never emitted: the detection engine owns every
+        # ``window_truncated`` event; direct callers see walk-offs in the
+        # metrics snapshot.
+        walkoffs = sum(m < 2 for m in n)
+        if walkoffs and obs.enabled():
+            obs.counter("repro.core.comparator.truncated_windows").inc(walkoffs)
+        return np.array(dist)
 
     # ------------------------------------------------------------------
     def pair_distance(self, wa: np.ndarray, wb: np.ndarray) -> float:
@@ -205,98 +215,103 @@ class Comparator:
             )
         return out
 
-    def _window_distances(
-        self, a: Signal, b: Signal, sync: SyncResult
-    ) -> np.ndarray:
-        """Vertical distances for every synchronized window (Eq. 16).
+    def window_distances(
+        self,
+        a: np.ndarray,
+        a_start: int,
+        b: np.ndarray,
+        index: Sequence[int],
+        disp: Sequence[float],
+        n_win: int,
+        n_hop: int,
+    ) -> Tuple[List[float], List[int]]:
+        """Score windows ``a{i}`` against ``b{i; disp}`` (Eq. 16).
 
-        Fast path: all windows that lie fully inside both signals with a
-        finite displacement are gathered into one stack, laid out as
-        :func:`stack_axis` says, and scored by a single
-        :meth:`pair_distances` call.  Boundary-clipped, degenerate, or
-        non-finitely-displaced windows take the scalar per-window route,
-        which owns the walk-off accounting.
+        ``a`` is an observed block whose first row is absolute sample
+        ``a_start`` (a whole signal at 0, or the engine's buffered tail).
+        Window ``index[j]`` starts at sample ``index[j] * n_hop`` of ``a``
+        and at that plus ``round(disp[j])`` of the reference ``b``; a pair
+        clipped by a signal boundary is cut to its overlap ``n``.  Returns
+        each window's distance and ``n``: ``n < 2`` scores
+        :data:`MAX_CORRELATION_DISTANCE`, as does a non-finite displacement
+        (``n`` 0).  Nothing is counted or emitted; callers account
+        walk-offs in their own order.
+
+        The pairs that lie fully inside both signals are gathered in the
+        :func:`stack_axis` layout and scored by one :meth:`pair_distances`
+        call, bit-identical per pair to :meth:`pair_distance`, which scores
+        clipped pairs, other metrics and a lone window (the cheaper call).
         """
-        n_win, n_hop = sync.n_win, sync.n_hop
-        k = sync.n_indexes
-        if k == 0 or n_win < 2 or not self._correlation_like:
-            return self._window_distances_scalar(a, b, sync)
-        h = np.asarray(sync.h_disp, dtype=np.float64)
-        starts = np.arange(k, dtype=np.float64) * n_hop
-        # Eligibility is decided in float64 so absurd displacements (1e300
-        # from a walked-off synchronizer) cannot overflow an int cast; the
-        # ineligible windows fall through to the scalar path, which works
-        # in exact Python ints.
-        b0f = starts + np.round(h)
-        eligible = (
-            np.isfinite(h)
-            & (b0f >= 0.0)
-            & (b0f + n_win <= b.n_samples)
-            & (starts + n_win <= a.n_samples)
-        )
-        out = np.empty(k)
-        idx = np.flatnonzero(eligible)
-        if idx.size:
-            axis = stack_axis(a.n_channels)
-            span = np.expand_dims(np.arange(n_win), 1 - axis)
-            a0 = np.expand_dims(idx * n_hop, axis)
-            b0 = np.expand_dims(b0f[idx].astype(np.int64), axis)
-            out[idx] = self.pair_distances(
-                a.data[a0 + span, :], b.data[b0 + span, :], axis
+        k = len(index)
+        n_a, n_b = a.shape[0], b.shape[0]
+        dist = [MAX_CORRELATION_DISTANCE] * k
+        n = [0] * k
+        batch = k > 1 and n_win >= 2 and self._correlation_like
+        full: List[int] = []
+        a0: List[int] = []
+        b0: List[int] = []
+        for j in range(k):
+            h = float(disp[j])
+            if not math.isfinite(h):
+                # A synchronizer walk-off, not a crash: int(round(nan))
+                # would raise mid-detection.
+                continue
+            s = int(index[j]) * n_hop
+            lo = s + int(round(h))
+            s -= a_start
+            if s < 0:
+                raise IndexError(
+                    f"window {index[j]} starts before sample {a_start}"
+                )
+            if batch and lo >= 0 and lo + n_win <= n_b and s + n_win <= n_a:
+                full.append(j)
+                a0.append(s)
+                b0.append(lo)
+                continue
+            wa = a[s : s + n_win]
+            wb = b[min(max(lo, 0), n_b) : max(lo + n_win, 0)]
+            n[j] = m = min(wa.shape[0], wb.shape[0])
+            if m == n_win:  # skip re-slicing a lone whole pair
+                dist[j] = self.pair_distance(wa, wb)
+            elif m >= 2:
+                dist[j] = self.pair_distance(wa[:m], wb[:m])
+        if full:
+            axis = stack_axis(a.shape[1])
+            span = np.arange(n_win)[:, np.newaxis]
+            wa, wb = (
+                np.take(x, (span + rows).T if axis else span + rows, axis=0)
+                for x, rows in ((a, a0), (b, b0))
             )
-        for i in np.flatnonzero(~eligible):
-            out[i] = self._one_window_distance(a, b, sync, int(i))
-        return out
+            scores = self.pair_distances(wa, wb, axis)
+            for j, v in zip(full, scores.tolist()):
+                dist[j], n[j] = v, n_win
+        return dist, n
 
     def _window_distances_scalar(
         self, a: Signal, b: Signal, sync: SyncResult
     ) -> np.ndarray:
         """Reference implementation: one :meth:`pair_distance` per window.
 
-        Kept verbatim as the bit-exactness oracle for the vectorized
-        :meth:`_window_distances` (differential-tested), and used directly
-        for non-correlation metrics and sub-2-sample windows.
+        Kept as the bit-exactness oracle for :meth:`window_distances`
+        (differential-tested, and the reference of ``repro diff --pair
+        comparator``).
         """
+        n_win, n_hop = sync.n_win, sync.n_hop
         out = np.empty(sync.n_indexes)
         for i in range(sync.n_indexes):
-            out[i] = self._one_window_distance(a, b, sync, i)
+            h = float(sync.h_disp[i])
+            if not math.isfinite(h):
+                out[i] = MAX_CORRELATION_DISTANCE
+                continue
+            wa = a.window(i, n_win, n_hop).data
+            wb = b.window(i, n_win, n_hop, offset=int(round(h))).data
+            n = min(wa.shape[0], wb.shape[0])
+            out[i] = (
+                self.pair_distance(wa[:n], wb[:n])
+                if n >= 2
+                else MAX_CORRELATION_DISTANCE
+            )
         return out
-
-    def _one_window_distance(
-        self, a: Signal, b: Signal, sync: SyncResult, i: int
-    ) -> float:
-        n_win, n_hop = sync.n_win, sync.n_hop
-        h = float(sync.h_disp[i])
-        if not math.isfinite(h):
-            # A non-finite displacement estimate is a synchronizer
-            # walk-off, not a crash: int(round(nan)) would raise
-            # mid-detection.  Score the window as worst-case instead.
-            self._note_walkoff(i, 0)
-            return MAX_CORRELATION_DISTANCE
-        disp = int(round(h))
-        wa = a.window(i, n_win, n_hop).data
-        wb = b.window(i, n_win, n_hop, offset=disp).data
-        n = min(wa.shape[0], wb.shape[0])
-        if n < 2:
-            # A vanishing window means the synchronizer walked off the
-            # reference (overrun, or an offset so negative the window
-            # clamps to nothing); report the worst correlation distance
-            # so the discriminator sees it.
-            self._note_walkoff(i, n)
-            return MAX_CORRELATION_DISTANCE
-        return self.pair_distance(wa[:n], wb[:n])
-
-    @staticmethod
-    def _note_walkoff(window: int, n: int) -> None:
-        """Account one walked-off window.
-
-        Counter only: the ``window_truncated`` *event* is emitted solely by
-        the detection engine (:mod:`repro.core.engine`), which owns all
-        provenance emission; the standalone comparator API keeps the metric
-        so direct callers still see walk-offs in the metrics snapshot.
-        """
-        if obs.enabled():
-            obs.counter("repro.core.comparator.truncated_windows").inc()
 
     def _point_distances(self, a: Signal, b: Signal, sync: SyncResult) -> np.ndarray:
         if sync.pairs is None:

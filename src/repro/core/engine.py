@@ -62,7 +62,7 @@ from ..obs import events
 from ..signals.ringbuffer import SampleRing
 from ..signals.signal import Signal
 from ..sync.base import BatchSyncCursor, SyncCursor, SyncResult, Synchronizer
-from .comparator import Comparator, DistanceFn, MAX_CORRELATION_DISTANCE, stack_axis
+from .comparator import Comparator, DistanceFn, MAX_CORRELATION_DISTANCE
 from .discriminator import (
     Detection,
     DetectionFeatures,
@@ -775,132 +775,81 @@ class DetectionEngine:
         v_pre: Optional[np.ndarray],
     ) -> List[Alert]:
         """Evaluate newly synchronized indexes, interleaving the pending
-        sensor fault at its exact crossing sample."""
+        sensor fault at its exact crossing sample.  Compare scores the
+        whole batch first; events are then emitted in index order."""
         new_alerts: List[Alert] = []
-        v_batch: Optional[Dict[int, float]] = None
-        if v_pre is None and len(emitted) > 1:
-            v_batch = self._batch_compare(emitted)
         san = self._sanitizer
-        for i, disp in emitted:
-            pending = san.pending_fault
-            if pending is not None:
-                stop = i * self._cursor.n_hop + self._cursor.n_win
-                if stop > pending[0]:
+        if emitted:
+            n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
+            for i, disp, v, n in zip(*self._stage_compare(emitted, v_pre)):
+                pending = san.pending_fault
+                if pending is not None and i * n_hop + n_win > pending[0]:
                     san.pending_fault = None
                     self._fire_sensor_fault(
                         new_alerts, ("dark_channel",), *pending
                     )
-            self._evaluate_index(
-                int(i), float(disp), v_pre, v_batch, new_alerts
-            )
+                if n is not None:
+                    if obs.enabled():
+                        obs.counter("repro.core.engine.truncated_windows").inc()
+                    if events.enabled():
+                        events.log().emit("window_truncated", window=i, n=n)
+                self._quarantine_check(i)
+                time_s = i * n_hop / self._rate
+                self._evidence.add(i, disp, v, time_s, new_alerts)
         if san.pending_fault is not None:
             pending, san.pending_fault = san.pending_fault, None
             self._fire_sensor_fault(new_alerts, ("dark_channel",), *pending)
         self._evidence.alerts.extend(new_alerts)
         return new_alerts
 
-    def _batch_compare(
-        self, emitted: Sequence[Tuple[int, float]]
-    ) -> Optional[Dict[int, float]]:
-        """Pre-score the clean full windows of one push in a single call.
-
-        Gathers every emitted window that lies fully inside both the
-        buffered tail and the reference (finite displacement, no boundary
-        clipping) into one stack, laid out as
-        :func:`~repro.core.comparator.stack_axis` says, and scores it with
-        one :meth:`~repro.core.comparator.Comparator.pair_distances` call —
-        bit-identical to the per-window scalar path.  Windows that need
-        the worst-case fallback are deliberately left out: they emit
-        ``window_truncated`` events from inside the per-index loop, and
-        pre-scoring them here would reorder the event stream relative to
-        a differently-chunked run.
-        """
-        if self._cursor.mode != "window":
-            return None
-        n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        n_ref = self.reference.n_samples
-        ref = self.reference.data
-        idxs: List[int] = []
-        stack_a: List[np.ndarray] = []
-        stack_b: List[np.ndarray] = []
-        for i, disp in emitted:
-            if not math.isfinite(disp):
-                continue
-            start = int(i) * n_hop
-            b0 = start + int(round(disp))
-            if b0 < 0 or b0 + n_win > n_ref:
-                continue
-            if start + n_win > self._ring.end:
-                continue
-            idxs.append(int(i))
-            stack_a.append(self._ring.view(start, start + n_win))
-            stack_b.append(ref[b0 : b0 + n_win])
-        if not idxs:
-            return None
-        axis = stack_axis(ref.shape[1])
-        vals = self._comparator.pair_distances(
-            np.stack(stack_a, axis=1 - axis),
-            np.stack(stack_b, axis=1 - axis),
-            axis,
-        )
-        return {i: float(v) for i, v in zip(idxs, vals)}
-
-    def _evaluate_index(
-        self,
-        i: int,
-        disp: float,
-        v_pre: Optional[np.ndarray],
-        v_batch: Optional[Dict[int, float]],
-        sink: List[Alert],
-    ) -> None:
-        """Compare + discriminate one synchronized index (window or point).
-
-        A synchronizer emitting a non-finite displacement would poison the
-        cumulative CADHD for the rest of the print; the previous estimate
-        is held for the c/h sub-modules and this index reports worst-case
-        vertical evidence instead.
-        """
-        degenerate = not math.isfinite(disp)
-        if degenerate:
-            disp = self._evidence.prev_disp
-        v = self._stage_compare(i, disp, degenerate, v_pre, v_batch)
-        self._quarantine_check(i)
-        time_s = i * self._cursor.n_hop / self._rate
-        self._evidence.add(i, disp, v, time_s, sink)
-
     def _stage_compare(
         self,
-        i: int,
-        disp: float,
-        degenerate: bool,
+        emitted: Sequence[Tuple[int, float]],
         v_pre: Optional[np.ndarray],
-        v_batch: Optional[Dict[int, float]],
-    ) -> float:
-        """Vertical distance for one index, with the worst-case fallback."""
-        if not degenerate:
-            if v_pre is not None:
-                # Point mode: distances were computed wholesale over the
-                # warping path (Eq. 15); nothing to window out.
-                return float(v_pre[i])
-            if v_batch is not None:
-                v = v_batch.get(i)
-                if v is not None:
-                    return v
+    ) -> Tuple[List[int], List[float], List[float], List[Optional[int]]]:
+        """Vertical distances for one batch of emitted indexes.
+
+        Returns, per index, the index, the displacement the evidence folds
+        in, the vertical distance, and the overlap ``n`` of a walked-off
+        window (else ``None``).  A non-finite displacement would poison
+        the cumulative CADHD for the rest of the print, so the previous
+        estimate is held and the index reports worst-case vertical
+        evidence.  Window mode (Eq. 16) scores the batch in one
+        :meth:`~repro.core.comparator.Comparator.window_distances` call;
+        point mode (Eq. 15) reads the distances computed over the warping
+        path and windows only a degenerate index.
+        """
+        idx: List[int] = []
+        disps: List[float] = []
+        held: List[int] = []
+        prev = self._evidence.prev_disp
+        for j, (i, disp) in enumerate(emitted):
+            if math.isfinite(disp):
+                prev = float(disp)
+            else:
+                held.append(j)
+            idx.append(int(i))
+            disps.append(prev)
+        tail, start = self._ring.tail(), self._ring.start
+        ref = self.reference.data
         n_win, n_hop = self._cursor.n_win, self._cursor.n_hop
-        start = i * n_hop
-        wa = self._ring.view(start, start + n_win)
-        offset = int(round(disp))
-        wb = self.reference.slice(
-            start + offset, start + offset + n_win
-        ).data
-        n = min(wa.shape[0], wb.shape[0])
-        if n >= 2 and not degenerate:
-            return self._comparator.pair_distance(wa[:n], wb[:n])
-        if obs.enabled():
-            obs.counter("repro.core.engine.truncated_windows").inc()
-        if events.enabled():
-            events.log().emit("window_truncated", window=i, n=int(n))
-        return TRUNCATED_WINDOW_DISTANCE
+        if v_pre is None:
+            pos: Sequence[int] = range(len(idx))
+            dist, overlap = self._comparator.window_distances(
+                tail, start, ref, idx, disps, n_win, n_hop
+            )
+        else:
+            pos = held
+            dist = [float(v_pre[i]) for i in idx]
+            _, overlap = self._comparator.window_distances(
+                tail, start, ref, [idx[j] for j in held],
+                [disps[j] for j in held], n_win, n_hop,
+            )
+        cut: List[Optional[int]] = [None] * len(idx)
+        for j, n in zip(pos, overlap):
+            if n < 2 or j in held:
+                cut[j], dist[j] = n, TRUNCATED_WINDOW_DISTANCE
+        return idx, disps, dist, cut
 
     def _quarantine_check(self, i: int) -> None:
         """Flag an index whose input samples had to be repaired."""

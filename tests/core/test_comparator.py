@@ -338,7 +338,7 @@ class TestBatchedDifferential:
         b = make_signal(220, seed=4, channels=2)
         h = [0.0, 3.0, -2.4, np.nan, 1e9, -1e9, 215.0, 0.5, np.inf, 7.0]
         sync = window_sync(10, n_win=16, n_hop=8, h_disp=h)
-        fast = comp._window_distances(a, b, sync)
+        fast = comp.vertical_distances(a, b, sync)
         scalar = comp._window_distances_scalar(a, b, sync)
         assert np.array_equal(fast, scalar)
 
@@ -351,7 +351,7 @@ class TestBatchedDifferential:
         a = Signal(data, 10.0)
         b = make_signal(200, seed=6)
         sync = window_sync(20, n_win=12, n_hop=6)
-        fast = comp._window_distances(a, b, sync)
+        fast = comp.vertical_distances(a, b, sync)
         scalar = comp._window_distances_scalar(a, b, sync)
         assert np.array_equal(fast, scalar)
 
@@ -390,8 +390,38 @@ class TestBatchedDifferential:
             sync = window_sync(
                 len(disps), n_win=n_win, n_hop=n_hop, h_disp=disps
             )
-            fast = comp._window_distances(a, b, sync)
+            fast = comp.vertical_distances(a, b, sync)
             scalar = comp._window_distances_scalar(a, b, sync)
             assert np.array_equal(fast, scalar)
 
         property_case()
+
+    def test_window_distances_reads_a_block_and_reports_overlap(self):
+        """A buffered block at its absolute start scores like the whole
+        signal, and each pair reports its overlap: full, clipped at
+        either end of the reference or the observation, or walked off."""
+        comp = Comparator("correlation")
+        a = make_signal(200, seed=7, channels=3)
+        b = make_signal(210, seed=8, channels=3)
+        index = [4, 5, 6, 7, 8, 19]
+        disp = [0.0, -60.0, 145.0, np.nan, 2.0, 0.0]
+        whole, n = comp.window_distances(a.data, 0, b.data, index, disp, 20, 10)
+        block, n_block = comp.window_distances(
+            a.data[40:], 40, b.data, index, disp, 20, 10
+        )
+        assert n == n_block == [20, 10, 5, 0, 20, 10]
+        assert whole == block
+        for j, (i, h) in enumerate(zip(index, disp)):
+            if not np.isfinite(h):
+                assert whole[j] == 2.0
+                continue
+            wa = a.window(i, 20, 10).data
+            wb = b.window(i, 20, 10, offset=int(round(h))).data
+            m = n[j]
+            assert whole[j] == comp.pair_distance(wa[:m], wb[:m])
+        single, n_single = comp.window_distances(
+            a.data[40:], 40, b.data, [5], [-60.0], 20, 10
+        )
+        assert single[0] == whole[1] and n_single[0] == 10
+        with pytest.raises(IndexError, match="starts before sample"):
+            comp.window_distances(a.data[40:], 40, b.data, [3], [0.0], 20, 10)

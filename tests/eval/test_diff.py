@@ -17,7 +17,10 @@ from repro.eval.diff import (
     Divergence,
     PairReport,
     _array_first_diff,
+    _dwm_signals,
+    _engine_for_workload,
     _first_deep_diff,
+    _observed_with_faults,
     diff_pair,
     load_bundle,
     replay_bundle,
@@ -219,16 +222,27 @@ class TestMutationSmoke:
     def test_comparator_ulp_fault_is_caught(self, monkeypatch):
         from repro.core.comparator import Comparator
 
-        orig = Comparator._window_distances
+        def engine_v_dist():
+            reference, _ = _dwm_signals(ENGINE_WORKLOAD)
+            engine = _engine_for_workload(ENGINE_WORKLOAD, reference)
+            engine.push(_observed_with_faults(ENGINE_WORKLOAD))
+            return engine.finalize().v_dist
 
-        def mutated(self, a, b, sync):
-            return np.nextafter(orig(self, a, b, sync), np.inf)
+        clean_v_dist = engine_v_dist()
+        orig = Comparator.window_distances
 
-        monkeypatch.setattr(Comparator, "_window_distances", mutated)
+        def mutated(self, *args):
+            dist, n = orig(self, *args)
+            return np.nextafter(dist, np.inf).tolist(), n
+
+        monkeypatch.setattr(Comparator, "window_distances", mutated)
         report = diff_pair("comparator", seed=0, examples=25)
         assert not report.ok
         assert report.divergence.pair == "comparator"
         assert report.divergence.field == "v_dist"
+        # The engine's compare stage runs the same routine, so the pair
+        # above is its oracle too.
+        assert not np.array_equal(engine_v_dist(), clean_v_dist)
 
     def test_firmware_vstart_regression_is_caught(self, monkeypatch):
         # Re-introduce the bug this PR fixed: the batched evaluation used
