@@ -11,7 +11,9 @@ Rough expectations on commodity hardware:
 * one full DWM synchronization of an 80 s raw ACC pair: tens of ms;
 * one compare-stage ``window_distances`` call over a run's windows,
   gather included: a few ms; over one fleet window: tens of µs;
-* STFT of the same signal: a few ms.
+* STFT of the same signal: a few ms;
+* one 40k-sample thermal track: well under a millisecond with a warm ramp
+  memo, several ms cold; the ACC Gaussian smoothing of one run: a few ms.
 """
 
 import importlib
@@ -24,7 +26,9 @@ from repro.attacks import PrintJob
 from repro.core import Comparator
 from repro.printer import TimeNoiseModel, ULTIMAKER3
 from repro.printer.arcs import segment_arcs
+from repro.printer import firmware as firmware_module
 from repro.printer.firmware import Firmware
+from repro.sensors.motion_sensors import _gaussian_smooth
 from repro.signals import Signal, SpectrogramConfig, spectrogram
 from repro.slicer import SlicerConfig, gear_outline
 from repro.sync import (
@@ -182,13 +186,40 @@ def test_kernel_sample_loop_reference(benchmark, scheduled_print):
     assert trace.n_samples > 1000
 
 
-def test_kernel_thermal_track(benchmark, scheduled_print):
+@pytest.mark.parametrize("memo", ["warm", "cold"])
+def test_kernel_thermal_track(benchmark, scheduled_print, memo):
+    """One 40k-sample hotend track.  ``warm`` times the steady state of a
+    worker, whose ramp memo already holds the track's first constant run;
+    ``cold`` clears the memo before every round, so each round also steps
+    that run (the first track of a fresh process)."""
+    from scipy.signal import lfilter
+
     firmware, segments, events = scheduled_print
     times = np.arange(40_000) / ULTIMAKER3.sim_rate
-    hot = benchmark(
-        firmware._thermal_track, times, events["hotend"], ULTIMAKER3.hotend_tau
-    )
-    reference = firmware._thermal_track_loop(
-        times, events["hotend"], ULTIMAKER3.hotend_tau
-    )
-    assert np.max(np.abs(hot - reference)) <= 1e-9
+    args = (times, events["hotend"], ULTIMAKER3.hotend_tau)
+    if memo == "warm":
+        hot = benchmark(firmware._thermal_track, *args)
+    else:
+        hot = benchmark.pedantic(
+            firmware._thermal_track, args, setup=firmware_module._IIR_RAMPS.clear,
+            rounds=20,
+        )
+    alpha = (1.0 / ULTIMAKER3.sim_rate) / ULTIMAKER3.hotend_tau
+    y0 = ULTIMAKER3.ambient_temp
+    target = firmware._step_track(times, events["hotend"])
+    reference = lfilter(
+        [alpha], [1.0, alpha - 1.0], target[1:], zi=[(1.0 - alpha) * y0]
+    )[0]
+    assert hot[0] == y0
+    assert np.array_equal(hot[1:], reference)
+    assert np.array_equal(np.signbit(hot[1:]), np.signbit(reference))
+
+
+def test_kernel_gaussian_smooth(benchmark):
+    """The accelerometer's mechanical smoothing at a run's ACC shape
+    (UM3: 80 s at 400 Hz, sigma = 0.03 s = 12 samples)."""
+    from scipy.ndimage import gaussian_filter1d
+
+    x = np.random.default_rng(0).standard_normal((32161, 3)) * 1e3
+    out = benchmark(_gaussian_smooth, x, 12.0)
+    assert np.array_equal(out, gaussian_filter1d(x, 12.0, axis=0))

@@ -14,9 +14,8 @@ Four pairs are locked:
 ``firmware``
     ``Firmware._sample`` (batched trapezoid evaluation) against
     ``Firmware._sample_loop``, compared G-code instruction by instruction
-    (positions, velocities, extrusion, command/layer tracking bit-exact;
-    thermal tracks within 1e-9, the IIR-vs-loop bound PR 1 established),
-    over generated programs including arcs, zero-length moves, retractions,
+    (positions, velocities, extrusion, command/layer tracking, fan and
+    thermal tracks, all bit-exact), over generated programs including arcs, zero-length moves, retractions,
     relative modes, and look-ahead junction chains.
 
 ``dwm``
@@ -90,10 +89,6 @@ PAIRS = ("firmware", "dwm", "comparator", "engine")
 
 BUNDLE_SCHEMA = "repro.eval.diff/bundle"
 BUNDLE_VERSION = 1
-
-#: |fast - reference| bound for the thermal tracks (IIR filter vs explicit
-#: recursion accumulate in different orders); everything else is bit-exact.
-_THERMAL_ATOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +245,13 @@ def _first_deep_diff(
     return None
 
 
-def _array_first_diff(
-    ref: np.ndarray, fast: np.ndarray, atol: float = 0.0
-) -> Optional[int]:
-    """Index of the first diverging row/sample of two equal-shape arrays."""
-    if atol > 0.0:
-        bad = np.abs(ref - fast) > atol
-    else:
-        # Bit-exactness with NaN counted as self-equal, so a NaN in only
-        # one of the two arrays *is* a divergence.
-        bad = ~((ref == fast) | (np.isnan(ref) & np.isnan(fast)))
+def _array_first_diff(ref: np.ndarray, fast: np.ndarray) -> Optional[int]:
+    """Index of the first diverging row/sample of two equal-shape arrays.
+
+    Bit-exactness with NaN counted as self-equal, so a NaN in only one of
+    the two arrays *is* a divergence.
+    """
+    bad = ~((ref == fast) | (np.isnan(ref) & np.isnan(fast)))
     if bad.ndim > 1:
         bad = bad.reshape(bad.shape[0], -1).any(axis=1)
     hits = np.flatnonzero(bad)
@@ -282,9 +274,9 @@ def _machine_for(workload: Dict[str, object]):
 def run_firmware(workload: Dict[str, object]) -> Optional[Divergence]:
     """Lock-step ``_sample`` vs ``_sample_loop`` over one G-code program.
 
-    The motion tracks (position/velocity/acceleration/extrusion and the
-    command/layer index tracks) must be bit-identical; the thermal tracks
-    are compared against the 1e-9 IIR-vs-loop bound.  The first diverging
+    Every track (position/velocity/acceleration/extrusion, the
+    command/layer index tracks, fan and both thermal tracks) must be
+    bit-identical.  The first diverging
     sample is mapped back onto the G-code instruction executing at that
     sample, which becomes the reported ``step``.
     """
@@ -326,19 +318,12 @@ def run_firmware(workload: Dict[str, object]) -> Optional[Divergence]:
             detail="only one implementation raised",
         )
 
-    checks: Tuple[Tuple[str, float], ...] = (
-        ("position", 0.0),
-        ("velocity", 0.0),
-        ("acceleration", 0.0),
-        ("extrusion_rate", 0.0),
-        ("command_index", 0.0),
-        ("layer_index", 0.0),
-        ("fan", 0.0),
-        ("hotend_temp", _THERMAL_ATOL),
-        ("bed_temp", _THERMAL_ATOL),
+    checks = (
+        "position", "velocity", "acceleration", "extrusion_rate",
+        "command_index", "layer_index", "fan", "hotend_temp", "bed_temp",
     )
     first: Optional[Tuple[int, str]] = None
-    for name, atol in checks:
+    for name in checks:
         r, f = getattr(ref, name), getattr(fast, name)
         if r.shape != f.shape:
             return Divergence(
@@ -346,8 +331,7 @@ def run_firmware(workload: Dict[str, object]) -> Optional[Divergence]:
                 reference=list(r.shape), fast=list(f.shape),
             )
         k = _array_first_diff(
-            np.asarray(r, dtype=np.float64), np.asarray(f, dtype=np.float64),
-            atol,
+            np.asarray(r, dtype=np.float64), np.asarray(f, dtype=np.float64)
         )
         if k is not None and (first is None or k < first[0]):
             first = (k, name)

@@ -16,8 +16,9 @@ been received.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,20 +32,67 @@ __all__ = ["MachineTrace", "Firmware", "simulate_print"]
 
 CommandTransformer = Callable[[GcodeCommand], GcodeCommand]
 
-# Cached lazy import: the IIR thermal track uses scipy when available and
-# silently falls back to the recursive loop otherwise.
-_LFILTER = None
+#: The first constant run of every thermal track, keyed by the bits of
+#: ``(y0, level, alpha)``.  Each run of a printer starts from the same
+#: ambient value towards the same setpoint, so that run is the same
+#: sequence in every simulation; it is computed once per process and
+#: handed out as a copied prefix (extended when a longer run asks).
+#: Entries are exact, so two threads racing on one only recompute it.
+_IIR_RAMPS: Dict[bytes, np.ndarray] = {}
 
 
-def _get_lfilter():
-    global _LFILTER
-    if _LFILTER is None:
-        try:
-            from scipy.signal import lfilter
-        except ImportError:  # pragma: no cover - scipy is a hard dep in CI
-            lfilter = False
-        _LFILTER = lfilter
-    return _LFILTER
+def _iir_run(z: float, x: float, alpha: float, n: int) -> Tuple[List[float], float]:
+    """``n`` steps of the order-1 IIR at constant input ``x`` from state ``z``.
+
+    The arithmetic is ``scipy.signal.lfilter``'s for ``b = [alpha]``,
+    ``a = [1, alpha - 1]``: ``y = z + b0*x`` then ``z = b1*x - a1*y`` with
+    ``b1 = 0``, so the outputs (sign of zero included) are its bits.
+    Returns the outputs and the state after the last step.
+    """
+    a1 = alpha - 1.0
+    bx = alpha * x
+    zx = x * 0.0
+    ys = [0.0] * n
+    for i in range(n):
+        y = z + bx
+        z = zx - a1 * y
+        ys[i] = y
+    return ys, z
+
+
+def _first_order_iir(x: np.ndarray, y0: float, alpha: float) -> np.ndarray:
+    """``lfilter([alpha], [1, alpha - 1], x, zi=[(1 - alpha) * y0])[0]``.
+
+    ``x`` is piecewise constant.  Its first run comes from
+    :data:`_IIR_RAMPS`; every later run is stepped by :func:`_iir_run`
+    from the carried state.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[0]
+    out = np.empty(n)
+    if n == 0:
+        return out
+    bits = x.view(np.int64)
+    bounds = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), n]
+    level = float(x[0])
+    first = bounds[1]
+    key = struct.pack("<3d", y0, level, alpha)
+    ramp = _IIR_RAMPS.get(key)
+    if ramp is None or ramp.shape[0] < first:
+        if ramp is None:
+            ramp = np.empty(0)
+            z = (1.0 - alpha) * y0
+        else:
+            z = level * 0.0 - (alpha - 1.0) * float(ramp[-1])
+        ys, _ = _iir_run(z, level, alpha, first - ramp.shape[0])
+        ramp = np.concatenate([ramp, ys])
+        _IIR_RAMPS[key] = ramp
+    out[:first] = ramp[:first]
+    z = level * 0.0 - (alpha - 1.0) * float(ramp[first - 1])
+    for start, stop in zip(bounds[1:-1], bounds[2:]):
+        ys, z = _iir_run(z, float(x[start]), alpha, stop - start)
+        out[start:stop] = ys
+    return out
 
 
 @dataclass
@@ -733,13 +781,10 @@ class Firmware:
         """First-order response to a piecewise-constant target.
 
         The recursion ``out[i] = out[i-1] + alpha * (target[i] - out[i-1])``
-        is a one-pole IIR filter, evaluated in C via ``scipy.signal.lfilter``
-        (with the ambient temperature as the initial condition).  Falls back
-        to the explicit loop when scipy is unavailable.
+        is a one-pole IIR filter with the ambient temperature as its
+        initial condition; :func:`_first_order_iir` evaluates it with
+        ``scipy.signal.lfilter``'s arithmetic, without importing scipy.
         """
-        lfilter = _get_lfilter()
-        if lfilter is False:
-            return self._thermal_track_loop(times, events, tau)
         with obs.trace("thermal"):
             target = self._step_track(times, events)
             out = np.empty_like(target)
@@ -747,25 +792,7 @@ class Firmware:
             alpha = (1.0 / self.machine.sim_rate) / max(tau, 1e-6)
             alpha = min(alpha, 1.0)
             if out.size > 1:
-                out[1:], _ = lfilter(
-                    [alpha],
-                    [1.0, alpha - 1.0],
-                    target[1:],
-                    zi=np.array([(1.0 - alpha) * out[0]]),
-                )
-        return out
-
-    def _thermal_track_loop(
-        self, times: np.ndarray, events: List[Tuple[float, float]], tau: float
-    ) -> np.ndarray:
-        """Loop-form thermal recursion, kept as the regression reference."""
-        target = self._step_track(times, events)
-        out = np.empty_like(target)
-        out[0] = self.machine.ambient_temp
-        alpha = (1.0 / self.machine.sim_rate) / max(tau, 1e-6)
-        alpha = min(alpha, 1.0)
-        for i in range(1, out.size):
-            out[i] = out[i - 1] + alpha * (target[i] - out[i - 1])
+                out[1:] = _first_order_iir(target[1:], float(out[0]), alpha)
         return out
 
     @staticmethod

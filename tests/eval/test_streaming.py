@@ -177,8 +177,9 @@ class TestStreamingMatchesEager:
 class TestMemoryCeiling:
     """Streamed evaluation peak memory must not scale with campaign size."""
 
-    def _streamed_peak(self, setup, attacks, cache, n_benign_test):
-        campaign = generate_campaign(
+    @staticmethod
+    def _streamed(setup, attacks, cache, n_benign_test):
+        return generate_campaign(
             setup,
             channels=("ACC",),
             n_train=2,
@@ -189,6 +190,9 @@ class TestMemoryCeiling:
             cache=cache,
             materialize=False,
         )
+
+    def _streamed_peak(self, setup, attacks, cache, n_benign_test):
+        campaign = self._streamed(setup, attacks, cache, n_benign_test)
         tracemalloc.start()
         try:
             nsync_results(campaign, "ACC", "Raw")
@@ -201,13 +205,16 @@ class TestMemoryCeiling:
         self, setup, attacks, tmp_path_factory
     ):
         cache = RunCache(tmp_path_factory.mktemp("ceiling-cache"))
-        # Warm the larger campaign; the smaller one's seeds are a prefix of
-        # the same stream, so both evaluate fully from cache.
+        # Warm the larger campaign (executing every run into the cache); the
+        # smaller one's seeds are a prefix of the same stream, so both
+        # evaluate fully from cache.
         generate_campaign(
             setup, channels=("ACC",), n_train=2, n_benign_test=32,
             n_attack_runs=1, attacks=attacks, seed=11, cache=cache,
-            materialize=False,
         )
+        # One untraced pass, so first-time imports stay out of both traced
+        # windows.
+        nsync_results(self._streamed(setup, attacks, cache, 8), "ACC", "Raw")
         peak_small = self._streamed_peak(setup, attacks, cache, 8)
         peak_large = self._streamed_peak(setup, attacks, cache, 32)
         # 4x the benign-test runs; allow generous per-run noise but fail
